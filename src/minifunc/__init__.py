@@ -61,7 +61,6 @@ from .risklab import (
     rate_sweep,
     theoretical_rate,
 )
-from .simplexlp import LPSolution, simplex_solve
 from .lowerbounds import (
     CompositeBoundResult,
     MeasurePair,

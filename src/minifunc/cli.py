@@ -446,11 +446,11 @@ def _cmd_priors(args) -> dict:
     seed = _resolve_seed(args)
     if args.gamma is not None:
         eta = args.eta if args.eta is not None else args.gamma
-        pair = tilted_pair(phi, args.L, args.gamma, eta, grid_size=args.grid_size)
+        pair = tilted_pair(phi, args.L, args.gamma, eta)
         interval = None
     else:
         interval = _parse_interval(args.interval)
-        pair = moment_matched_pair(phi.eval, args.L, interval, grid_size=args.grid_size)
+        pair = moment_matched_pair(phi.eval, args.L, interval)
         eta = None
     lines = ["x,w0,w1"]
     for x, w0, w1 in zip(pair.support, pair.w0, pair.w1):
@@ -465,7 +465,6 @@ def _cmd_priors(args) -> dict:
             "interval": list(interval) if interval is not None else None,
             "gamma": args.gamma,
             "eta": eta,
-            "grid_size": args.grid_size,
         },
         master_seed=seed,
     )
@@ -585,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="0,1")
     p.add_argument("--gamma", type=float)
     p.add_argument("--eta", type=float)
-    p.add_argument("--grid-size", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_priors)

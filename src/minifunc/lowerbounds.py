@@ -1,10 +1,11 @@
 """Numeric minimax lower-bound constructions.
 
 Two-point arguments (KL and Hellinger flavors), moment-matched measure
-pairs built by linear programming over a discretized support, the tilted
-variant that fixes the first moment, total-variation control for Poisson
-mixtures, and the three-branch composite bound that ties risk to the
-best polynomial approximation error.
+pairs read off the dual of the best polynomial approximation (the Remez
+alternation points carry them), the tilted variant that fixes the first
+moment, total-variation control for Poisson mixtures, and the
+three-branch composite bound that ties risk to the best polynomial
+approximation error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 from scipy.optimize import brentq
 from scipy.stats import poisson
 
@@ -24,8 +24,7 @@ from .functionals import (
     additive_functional,
     as_prob_array,
 )
-from .polyapprox import remez_best_approx
-from .simplexlp import simplex_solve
+from .polyapprox import _as_callable, remez_best_approx
 
 __all__ = [
     "divergence",
@@ -50,10 +49,6 @@ __all__ = [
 ]
 
 _KINDS = ("kl", "chi2", "hellinger", "tv")
-
-
-def _as_callable(f):
-    return f.eval if hasattr(f, "eval") else f
 
 
 def divergence(P, Q, kind: str) -> float:
@@ -184,9 +179,10 @@ class MeasurePair:
     """Two discrete measures with matching moments and a phi-mean gap.
 
     w0 and w1 are weights on the common support; moments 1..matched_orders
-    agree (order 0 by normalization).  gap is the difference of phi-means,
-    maximized by construction; expected_gap is the Remez prediction it is
-    checked against.
+    agree (order 0 by normalization).  gap is the difference of phi-means.
+    The constructions below put the pair on the Remez alternation points,
+    where gap equals expected_gap = 2 E_L up to the Remez levelling
+    tolerance.
     """
 
     support: np.ndarray
@@ -224,16 +220,18 @@ class MeasurePair:
         return out
 
 
-def moment_matched_pair(f, L: int, interval, grid_size: int | None = None) -> MeasurePair:
+def moment_matched_pair(f, L: int, interval) -> MeasurePair:
     """Extremal pair of measures with moments 1..L matched, maximal f-gap.
 
-    Solves the discretized linear program over a Chebyshev-spaced grid
-    (mass concentrates near the interval ends, where the extremal
-    measures live).  Moment constraints are imposed in the Chebyshev
-    basis of the normalized coordinate, which spans the same space as
-    raw moments but keeps the tableau well conditioned.  The resulting
-    gap is checked against twice the best-approximation error; a
-    mismatch above 5% relative is attached as a warning.
+    The dual of the best-approximation problem.  On the L+2 alternation
+    points x_i of the Remez solve, the divided-difference weights
+    c_i ~ (-1)^i / prod_{j != i} |x_i - x_j| annihilate every polynomial
+    of degree <= L.  Scaled to sum |c_i| = 2 and signed so that
+    sum c_i f(x_i) >= 0, their positive and negative parts are two
+    probability measures with moments 1..L matched, and the f-gap
+    sum c_i (f - P)(x_i) is twice the levelled error E_L (Wu & Yang,
+    IEEE TIT 2016).  The weights are formed in log space on the
+    normalized coordinate, so large L cannot overflow.
     """
     fn = _as_callable(f)
     if L < 1:
@@ -241,68 +239,44 @@ def moment_matched_pair(f, L: int, interval, grid_size: int | None = None) -> Me
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi):
         raise ConfigurationError(f"invalid interval [{lo!r}, {hi!r}]")
-    min_grid = 50 * (L + 2)
-    if grid_size is None:
-        grid_size = max(min_grid, 240)
-    if grid_size < min_grid:
-        raise ConfigurationError(
-            f"grid_size {grid_size} below the minimum 50*(L+2) = {min_grid}"
-        )
-
-    j = np.arange(grid_size)
-    u = 0.5 * (1.0 - np.cos(np.pi * j / (grid_size - 1)))
-    x = lo + (hi - lo) * u
-    fx = np.asarray(fn(x), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise ConfigurationError("function is not finite on the support grid")
-
-    # Chebyshev rows in the normalized coordinate; orders 1..L
-    V = npcheb.chebvander(2.0 * u - 1.0, L)
-    G = grid_size
-    A = np.zeros((L + 2, 2 * G))
-    A[0, :G] = 1.0
-    A[1, G:] = 1.0
-    A[2:, :G] = V[:, 1:].T
-    A[2:, G:] = -V[:, 1:].T
-    b = np.zeros(L + 2)
-    b[0] = b[1] = 1.0
-    c = np.concatenate([fx, -fx])
-
-    sol = simplex_solve(c, A, b)
-    w0 = sol.x[:G]
-    w1 = sol.x[G:]
-    gap = float(sol.value)
+    u = 0.5 * (1.0 - np.cos(np.pi * np.arange(L + 2) / (L + 1)))
+    if not np.all(np.isfinite(np.asarray(fn(lo + (hi - lo) * u), dtype=float))):
+        raise ConfigurationError("function is not finite at the Chebyshev extrema of the interval")
 
     approx = remez_best_approx(fn, L, (lo, hi))
-    expected = 2.0 * approx.sup_error
+    x = approx.alternation_points
+    t = (2.0 * x - (lo + hi)) / (hi - lo)
+    dist = np.abs(t[:, None] - t[None, :])
+    np.fill_diagonal(dist, 1.0)
+    logw = -np.log(dist).sum(axis=1)
+    w = np.exp(logw - logw.max())
+    c = 2.0 * (-1.0) ** np.arange(L + 2) * w / math.fsum(w.tolist())
+    fx = np.asarray(fn(x), dtype=float)
+    gap = math.fsum((c * fx).tolist())
+    if gap < 0.0:
+        c, gap = -c, -gap
+    w0 = np.clip(c, 0.0, None)
+    w1 = np.clip(-c, 0.0, None)
     warnings = []
     if not approx.converged:
         warnings.append(f"best-approximation reference did not converge at degree {L}")
-    if expected > 1e-12:
-        if abs(gap - expected) / expected > 0.05:
-            warnings.append(
-                f"LP gap {gap:.6g} differs from twice the best-approximation error "
-                f"{expected:.6g} by more than 5%"
-            )
-    elif gap > 1e-8:
-        warnings.append(f"LP gap {gap:.3g} expected to vanish for a degree-{L} polynomial")
 
     pair = MeasurePair(
         support=x,
         w0=w0,
         w1=w1,
         matched_orders=L,
-        gap=max(gap, 0.0),
-        expected_gap=expected,
+        gap=gap,
+        expected_gap=2.0 * approx.sup_error,
         warnings=tuple(warnings),
     )
-    resid = pair.moment_residuals().max() if L >= 1 else 0.0
+    resid = pair.moment_residuals().max()
     if resid > 1e-8:
         raise NumericalError(f"moment constraints violated by {resid:.3g}")
     return pair
 
 
-def tilted_pair(phi, L: int, gamma: float, eta: float, grid_size: int | None = None) -> MeasurePair:
+def tilted_pair(phi, L: int, gamma: float, eta: float) -> MeasurePair:
     """Measure pair with both first moments pinned at gamma.
 
     Reweights a moment-matched base pair for f(x)/x on [gamma, gamma/eta]
@@ -323,7 +297,7 @@ def tilted_pair(phi, L: int, gamma: float, eta: float, grid_size: int | None = N
     def fstar(x):
         return np.asarray(fn(x), dtype=float) / np.asarray(x, dtype=float)
 
-    base = moment_matched_pair(fstar, L, (gamma, gamma / eta), grid_size)
+    base = moment_matched_pair(fstar, L, (gamma, gamma / eta))
     tilt = gamma / base.support
     w0 = base.w0 * tilt
     w1 = base.w1 * tilt

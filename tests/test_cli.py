@@ -443,6 +443,12 @@ class TestPriorsCommand:
         )
         assert gap_from_csv == pytest.approx(doc["gap"], rel=1e-9)
         assert doc["gap"] > 0.0
+        assert doc["support_size"] == 6 + 2
+        with pytest.raises(SystemExit) as exc:
+            main(["priors", "--phi", "shannon", "--L", "6", "--interval", "0,0.5",
+                  "--grid-size", "600", "--out", out_path])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_tilted_pair(self, tmp_path, capsys):
         out_path = str(tmp_path / "tilted.csv")
@@ -457,6 +463,8 @@ class TestPriorsCommand:
         assert doc["config"]["interval"] is None
         assert doc["config"]["gamma"] == 0.01
         assert doc["config"]["eta"] == 0.01
+        # the L+2 reference points plus the atom at zero
+        assert doc["support_size"] == 6 + 3
 
 
 class TestRiskSweepCommand:

@@ -40,6 +40,7 @@ from minifunc.lowerbounds import (
     tilted_pair,
     two_point_pair,
 )
+from minifunc.polyapprox import remez_best_approx
 
 SH = shannon_functional()
 
@@ -251,7 +252,8 @@ class TestMomentMatchedPair:
     def test_square_function_quarter_gap(self):
         pair = moment_matched_pair(lambda x: np.asarray(x, dtype=float) ** 2, 1, (0.0, 1.0))
         assert abs(pair.gap - 0.25) <= 0.005
-        assert pair.gap == pytest.approx(0.24998920114505543, rel=1e-9)
+        # 2 E_1(x^2, [0, 1]) with E_1 = 1/8 (best line x - 1/8)
+        assert pair.gap == pytest.approx(0.25, rel=1e-9)
         assert pair.expected_gap == pytest.approx(0.25, rel=1e-9)
         assert pair.warnings == ()
         # extremal shape: w0 at the endpoints, w1 near the midpoint
@@ -266,18 +268,19 @@ class TestMomentMatchedPair:
         pair = moment_matched_pair(f, 3, (0.0, 1.0))
         assert pair.gap <= 1e-8
 
-    @pytest.mark.parametrize("L", [2, 4])
-    def test_moments_matched_and_gap_tracks_remez(self, L):
-        pair = moment_matched_pair(SH, L, (0.0, 4e-3))
-        assert pair.moment_residuals().max() <= 1e-8
-        assert pair.w0.min() >= 0.0 and pair.w1.min() >= 0.0
-        assert math.fsum(pair.w0.tolist()) == pytest.approx(1.0, abs=1e-9)
-        assert math.fsum(pair.w1.tolist()) == pytest.approx(1.0, abs=1e-9)
-        assert pair.gap == pytest.approx(pair.expected_gap, rel=0.02)
-
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ConfigurationError, match="grid_size"):
-            moment_matched_pair(SH, 4, (0.0, 1.0), grid_size=100)
+    @pytest.mark.parametrize(
+        "degrees", [pytest.param((2, 8), id="2"), pytest.param((4, 14), id="4")]
+    )
+    def test_moments_matched_and_gap_tracks_remez(self, degrees):
+        for phi in (SH, power_functional(0.5)):
+            for L in degrees:
+                pair = moment_matched_pair(phi, L, (0.0, 4e-3))
+                assert pair.support.size == L + 2
+                assert pair.moment_residuals().max() <= 1e-8
+                assert pair.w0.min() >= 0.0 and pair.w1.min() >= 0.0
+                assert math.fsum(pair.w0.tolist()) == pytest.approx(1.0, abs=1e-9)
+                assert math.fsum(pair.w1.tolist()) == pytest.approx(1.0, abs=1e-9)
+                assert pair.gap == pytest.approx(pair.expected_gap, rel=1e-9)
 
     def test_degree_validation(self):
         with pytest.raises(ConfigurationError, match="L"):
@@ -307,11 +310,13 @@ class TestTiltedPair:
         assert pair.support[0] == 0.0
         assert pair.support.max() == pytest.approx(0.25)
 
+    # lp_ratio is what the grid LP that this construction replaced
+    # reached; the extremal pair can only do better
     @pytest.mark.parametrize(
-        "L,ratio",
+        "L,lp_ratio",
         [(4, 0.10375848880585531), (6, 0.1079572216246517), (8, 0.10946880966504358)],
     )
-    def test_zero_pinned_entropy_variant(self, L, ratio):
+    def test_zero_pinned_entropy_variant(self, L, lp_ratio):
         # phi_g(x) = -x log(x/g) vanishes at 0 and at g; the normalized
         # gap stays bounded away from zero as the degree grows
         g = 1.0 / (2 * L * L)
@@ -322,7 +327,10 @@ class TestTiltedPair:
 
         pair = tilted_pair(phi_g, L, g, g)
         got = pair.gap / (2 * g)
+        # the gap is 2 g E_L(phi_g(x)/x, [g, 1])
+        ratio = remez_best_approx(lambda x: phi_g(x) / x, L, (g, 1.0)).sup_error
         assert got == pytest.approx(ratio, rel=1e-6)
+        assert got >= lp_ratio
         assert got >= 0.1
 
     def test_requires_zero_at_origin(self):
@@ -344,7 +352,7 @@ class TestPoissonMixtureTV:
         assert res.numeric_tv == 0.0
 
     def test_bound_arithmetic(self):
-        pair = moment_matched_pair(SH, 10, (0.0, 1.0), grid_size=600)
+        pair = moment_matched_pair(SH, 10, (0.0, 1.0))
         res = poisson_mixture_tv(pair, 1, 1)
         assert res.max_rate == pytest.approx(1.0)
         assert res.bound == pytest.approx((2 * math.e / 10) ** 10, rel=1e-12)
@@ -353,7 +361,7 @@ class TestPoissonMixtureTV:
 
     @pytest.mark.parametrize("L", [8, 12])
     def test_tv_below_bound(self, L):
-        pair = moment_matched_pair(SH, L, (0.0, 1.0), grid_size=50 * (L + 2))
+        pair = moment_matched_pair(SH, L, (0.0, 1.0))
         res = poisson_mixture_tv(pair, 1, 1)
         assert math.isfinite(res.bound)
         assert 0.0 <= res.numeric_tv <= res.bound
