@@ -313,6 +313,9 @@ def best_poly_symbol_estimate(N: int, n: float, approx: ApproxResult, clamp) -> 
     Evaluated in product form, term m carrying prod_{j<m} (N-j)/n, so no
     intermediate overflows even for large N; terms vanish exactly once
     j reaches N.  clamp is (phi_inf, phi_sup) over the poly interval.
+    This is the composite estimator's only polynomial evaluator: it runs
+    once per distinct poly-branch count, and the value is summed once per
+    count with that count's multiplicity (see _fingerprint_terms).
     """
     a = approx.poly.coeffs
     lo, hi = float(min(clamp)), float(max(clamp))
@@ -327,20 +330,12 @@ def best_poly_symbol_estimate(N: int, n: float, approx: ApproxResult, clamp) -> 
     return min(max(val, lo), hi)
 
 
-def _poly_values(counts, n: float, coeffs, clamp) -> np.ndarray:
-    # vectorized product-form evaluation with Kahan compensation over terms
-    counts = np.asarray(counts, dtype=float)
-    total = np.full(counts.shape, float(coeffs[0]))
-    comp = np.zeros(counts.shape)
-    prod = np.ones(counts.shape)
-    for m in range(1, len(coeffs)):
-        prod = prod * (counts - (m - 1)) / n
-        term = float(coeffs[m]) * prod
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return np.clip(total, min(clamp), max(clamp))
+def _fingerprint_terms(counts, g) -> np.ndarray:
+    # per-symbol values depend only on the count, so sum F_c * g(c) over
+    # the distinct counts c (F_c symbols share count c); np.unique keeps
+    # memory O(k) even for counts like 10**12, where bincount would not
+    values, mult = np.unique(counts, return_counts=True)
+    return mult * np.asarray(g(values), dtype=float)
 
 
 def plugin_symbol_estimate(N: int, n: float, phi: Functional, cfg: EstimatorConfig) -> float:
@@ -444,17 +439,16 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     clamp = _cached_range(phi, interval)
 
     est_counts = split.est.counts
-    sel_counts = split.sel.counts
-    plugin_mask = sel_counts >= threshold
-    vals = np.empty(split.k, dtype=float)
-    if plugin_mask.any():
-        vals[plugin_mask] = bias_corrected_fn(
-            phi, cfg.correction_order, delta, n_eff, est_counts[plugin_mask] / n_eff
-        )
-    poly_mask = ~plugin_mask
-    if poly_mask.any():
-        vals[poly_mask] = _poly_values(est_counts[poly_mask], n_eff, approx.poly.coeffs, clamp)
-    estimate = math.fsum(vals)
+    plugin_mask = split.sel.counts >= threshold
+    plugin_terms = _fingerprint_terms(
+        est_counts[plugin_mask],
+        lambda c: bias_corrected_fn(phi, cfg.correction_order, delta, n_eff, c / n_eff),
+    )
+    poly_terms = _fingerprint_terms(
+        est_counts[~plugin_mask],
+        lambda c: [best_poly_symbol_estimate(N, n_eff, approx, clamp) for N in c.tolist()],
+    )
+    estimate = math.fsum(np.concatenate([plugin_terms, poly_terms]).tolist())
     n_plugin = int(plugin_mask.sum())
     return CompositeResult(
         estimate=estimate,
@@ -470,11 +464,13 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
 def corrected_plugin_estimate(h: Histogram, phi: Functional, cfg: EstimatorConfig) -> float:
     """Sum of bias-corrected plugin values over all symbols, no splitting."""
     n = h.n_nominal
-    vals = bias_corrected_fn(phi, cfg.correction_order, cfg.delta(n), n, h.counts / n)
-    return float(math.fsum(np.atleast_1d(vals)))
+    terms = _fingerprint_terms(
+        h.counts, lambda c: bias_corrected_fn(phi, cfg.correction_order, cfg.delta(n), n, c / n)
+    )
+    return math.fsum(terms.tolist())
 
 
 def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
     """Uncorrected plugin: sum of phi at the empirical frequencies."""
     n = h.n_nominal if h.n_nominal > 0 else 1
-    return float(math.fsum(np.atleast_1d(phi.eval(h.counts / n))))
+    return math.fsum(_fingerprint_terms(h.counts, lambda c: phi.eval(c / n)).tolist())

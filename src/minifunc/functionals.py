@@ -375,33 +375,29 @@ def range_on_interval(f, interval, grid_points: int = 16384) -> tuple[float, flo
     if not np.all(np.isfinite(ys)):
         i = int(np.argmax(~np.isfinite(ys)))
         raise FunctionalDomainError(f"f({xs[i]!r}) not finite while scanning {interval!r}")
-    lo_val = _golden_refine(fn, xs, ys, int(np.argmin(ys)), minimize=True)
-    hi_val = _golden_refine(fn, xs, ys, int(np.argmax(ys)), minimize=False)
-    return min(lo_val, float(ys.min())), max(hi_val, float(ys.max()))
+    # refine argmin and argmax as one batch: the argmin bracket maximises -f
+    idx = np.array([np.argmin(ys), np.argmax(ys)])
+    sign = np.array([-1.0, 1.0])
+    a = xs[np.maximum(idx - 1, 0)]
+    b = xs[np.minimum(idx + 1, xs.size - 1)]
+    lo_val, hi_val = np.asarray(fn(_golden_max(lambda x: sign * fn(x), a, b)), dtype=float)
+    return min(float(lo_val), float(ys.min())), max(float(hi_val), float(ys.max()))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refine(fn, xs, ys, idx, minimize: bool, iters: int = 80) -> float:
-    a = xs[max(idx - 1, 0)]
-    b = xs[min(idx + 1, xs.size - 1)]
-    sign = 1.0 if minimize else -1.0
+def _golden_max(g, a, b, iters: int = 70):
+    """Batched golden-section maximisation of g over the brackets [a_j, b_j].
 
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = sign * float(fn(c))
-    fd = sign * float(fn(d))
+    g is vectorised over the bracket arrays; >= keeps the left subinterval
+    on ties, so equal extrema resolve leftmost.  Returns the midpoints of
+    the final brackets.
+    """
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = sign * float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = sign * float(fn(d))
-        if b - a < 1e-15 * max(1.0, abs(a) + abs(b)):
-            break
-    best = min(fc, fd)
-    return sign * best
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        take_left = g(c) >= g(d)
+        b = np.where(take_left, d, b)
+        a = np.where(take_left, a, c)
+    return 0.5 * (a + b)

@@ -199,11 +199,12 @@ class MeasurePair:
         w1 = np.asarray(self.w1, dtype=float)
         if not (support.shape == w0.shape == w1.shape) or support.ndim != 1:
             raise ConfigurationError("support, w0, w1 must be 1-d arrays of equal length")
-        if w0.min() < -1e-10 or w1.min() < -1e-10:
+        # written so that NaN weights fail both checks
+        if not (w0.min() >= -1e-10 and w1.min() >= -1e-10):
             raise NumericalError("measure weights must be non-negative")
         for arr, nm in ((w0, "w0"), (w1, "w1")):
             total = math.fsum(arr.tolist())
-            if abs(total - 1.0) > 1e-8:
+            if not (abs(total - 1.0) <= 1e-8):
                 raise NumericalError(f"{nm} sums to {total!r}, expected 1")
         for arr in (support, w0, w1):
             arr.flags.writeable = False

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import ConfigurationError, NumericalError
-from .functionals import Functional
+from .functionals import Functional, _golden_max
 
 __all__ = [
     "Polynomial",
@@ -50,9 +50,6 @@ __all__ = [
     "remez_best_approx",
     "approx_error_curve",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -358,17 +355,7 @@ def _extremum_candidates(grid, r, resid):
     a = np.array(lo_b)
     b = np.array(hi_b)
 
-    # batched golden-section maximization of |resid|; >= keeps the
-    # left subinterval on ties, so equal extrema resolve leftmost
-    for _ in range(70):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = np.abs(resid(c))
-        fd = np.abs(resid(d))
-        take_left = fc >= fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-    t_star = 0.5 * (a + b)
+    t_star = _golden_max(lambda t: np.abs(resid(t)), a, b)
     r_star = resid(t_star)
 
     # never do worse than the raw grid point

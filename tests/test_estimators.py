@@ -401,6 +401,15 @@ def _mixed_split():
     return SplitHistograms(est=est, sel=sel, n_effective=100.0)
 
 
+def _repeated_split():
+    # k = 2000 symbols over a few dozen distinct counts: at threshold
+    # 2*0.5*ln(100) both branches hold hundreds of symbols per count
+    rng = np.random.default_rng(12)
+    est = Histogram(counts=rng.integers(0, 30, size=2000), n_nominal=100, model="poissonized")
+    sel = Histogram(counts=rng.integers(0, 12, size=2000), n_nominal=100, model="poissonized")
+    return SplitHistograms(est=est, sel=sel, n_effective=100.0)
+
+
 class TestComposite:
     def test_all_plugin_when_selector_clears_threshold(self):
         cfg = EstimatorConfig(c1=0.9, c2=0.5)
@@ -435,11 +444,19 @@ class TestComposite:
         assert res.degree == 0
         assert res.estimate == pytest.approx(MIXED_ESTIMATE, rel=1e-12)
 
-    def test_mixed_branches_term_by_term(self):
+    @pytest.mark.parametrize(
+        "make_split, cfg",
+        [
+            (_mixed_split, EstimatorConfig(c1=0.03, c2=2.5, correction_order=2)),
+            (_repeated_split, EstimatorConfig(c1=0.9, c2=0.5, correction_order=2)),
+        ],
+        ids=["k4", "k2000"],
+    )
+    def test_mixed_branches_term_by_term(self, make_split, cfg):
         phi = power_functional(0.3)
-        cfg = EstimatorConfig(c1=0.03, c2=2.5, correction_order=2)
-        split = _mixed_split()
+        split = make_split()
         res = composite_estimate(split, phi, cfg)
+        assert res.branch_counts["plugin"] > 0 and res.branch_counts["poly"] > 0
         approx = remez_best_approx(phi.eval, cfg.degree(100.0), cfg.poly_interval(100.0))
         clamp = range_on_interval(phi.eval, cfg.poly_interval(100.0))
         terms = []
@@ -458,7 +475,7 @@ class TestComposite:
         est = Histogram(counts=np.array([3, 50, 1, 46])[perm], n_nominal=100, model="poissonized")
         sel = Histogram(counts=np.array([0, 40, 0, 40])[perm], n_nominal=100, model="poissonized")
         split = SplitHistograms(est=est, sel=sel, n_effective=100.0)
-        assert composite_estimate(split, phi, cfg).estimate == pytest.approx(base, rel=1e-15)
+        assert composite_estimate(split, phi, cfg).estimate == base
 
     def test_multinomial_input_is_split_with_warning(self):
         cfg = tuned_config(1.0)
@@ -496,15 +513,30 @@ class TestComposite:
         assert res.poly_interval[0] == 0.0
 
 
+# a multinomial histogram, and a poissonized one whose count of 10**12
+# would make a bincount-sized table impossible
+_PLUGIN_HISTOGRAMS = (
+    Histogram(counts=np.array([10, 30, 60]), n_nominal=100),
+    Histogram(counts=np.array([0, 3, 10**12]), n_nominal=10**12, model="poissonized"),
+)
+
+
 class TestPluginEstimators:
     def test_corrected_plugin_matches_manual_sum(self):
         cfg = EstimatorConfig(c1=0.9, c2=0.5)
-        h = Histogram(counts=np.array([10, 30, 60]), n_nominal=100)
-        got = corrected_plugin_estimate(h, SH, cfg)
-        want = math.fsum(
-            float(bias_corrected_fn(SH, 2, cfg.delta(100), 100, c / 100)) for c in (10, 30, 60)
-        )
-        assert got == pytest.approx(want, rel=1e-14)
+        for h in _PLUGIN_HISTOGRAMS:
+            n = h.n_nominal
+            got = corrected_plugin_estimate(h, SH, cfg)
+            want = math.fsum(
+                float(bias_corrected_fn(SH, 2, cfg.delta(n), n, int(c) / n)) for c in h.counts
+            )
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_plain_plugin_matches_manual_sum(self):
+        for h in _PLUGIN_HISTOGRAMS:
+            got = plain_plugin_estimate(h, SH)
+            want = math.fsum(float(SH.eval(int(c) / h.n_nominal)) for c in h.counts)
+            assert got == pytest.approx(want, rel=1e-14)
 
     def test_plain_plugin_point_mass(self):
         h = Histogram(counts=np.array([100, 0, 0]), n_nominal=100)

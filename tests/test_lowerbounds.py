@@ -227,6 +227,16 @@ class TestMeasurePairType:
                 gap=0.0,
             )
 
+    def test_rejects_nan_weights(self):
+        with pytest.raises(NumericalError):
+            MeasurePair(
+                support=np.array([0.0, 1.0]),
+                w0=np.array([np.nan, 0.5]),
+                w1=np.array([0.5, 0.5]),
+                matched_orders=1,
+                gap=0.0,
+            )
+
     def test_rejects_unnormalized(self):
         with pytest.raises(NumericalError, match="sums to"):
             MeasurePair(
