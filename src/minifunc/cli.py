@@ -174,6 +174,10 @@ def read_counts(path: str, k_override: int | None = None) -> tuple[np.ndarray, s
     return (_parse_samples(lines, k_override), "samples")
 
 
+# counts and symbols are stored as int64
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _resolve_k(entries_max: int, k_override: int | None) -> int:
     inferred = entries_max + 1
     if k_override is None:
@@ -204,6 +208,8 @@ def _parse_histogram(lines, k_override) -> np.ndarray:
             raise InputFormatError(f"non-integer field in {s!r}", line=lineno) from None
         if sym < 0 or cnt < 0:
             raise InputFormatError("symbol and count must be non-negative", line=lineno)
+        if sym > _INT64_MAX or cnt > _INT64_MAX:
+            raise InputFormatError("symbol and count must be below 2**63", line=lineno)
         if sym in entries:
             raise InputFormatError(f"duplicate symbol {sym}", line=lineno)
         entries[sym] = cnt
@@ -228,6 +234,8 @@ def _parse_samples(lines, k_override) -> np.ndarray:
             raise InputFormatError(f"expected one integer symbol, got {s!r}", line=lineno) from None
         if sym < 0:
             raise InputFormatError("symbols must be non-negative", line=lineno)
+        if sym > _INT64_MAX:
+            raise InputFormatError("symbols must be below 2**63", line=lineno)
         symbols.append(sym)
     k = _resolve_k(max(symbols), k_override)
     return np.bincount(np.asarray(symbols, dtype=np.int64), minlength=k).astype(np.int64)

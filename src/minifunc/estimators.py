@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError
 from .functionals import Functional, as_prob_array, bias_corrected_fn, range_on_interval
@@ -51,11 +50,12 @@ class Histogram:
     """Symbol counts N_1..N_k with their nominal sample size and model.
 
     multinomial counts must sum to n_nominal; poissonized counts are
-    unconstrained (each is Poisson with mean n_nominal * p_i).
+    unconstrained (each is Poisson with mean n_nominal * p_i), so their
+    rate scale n_nominal may be fractional, as for a split half.
     """
 
     counts: np.ndarray
-    n_nominal: int
+    n_nominal: int | float
     model: str = "multinomial"
 
     def __post_init__(self):
@@ -197,27 +197,26 @@ def default_config(alpha: float, correction_order: int | None = None, rng_seed: 
     """Admissible constants for a given divergence-speed exponent.
 
     C2 = 8*alpha + 1; C1 is the smaller of 1/(2*C2^3) and the largest
-    value keeping the third inequality satisfied with margin 0.05.  The
-    result always passes validate_config for this alpha.  Raises for
-    alpha outside (0, 2 - margin), where no admissible C1 exists.
+    value keeping the third inequality satisfied with margin 0.05.  That
+    value is closed form: in s = sqrt(C1) the third inequality at margin
+    0.05 is a*s^2 + b*s = h with a = 3 ln 2, b = 2 sqrt(C2) ln(2e) and
+    h = 2 - alpha - 0.05, whose positive root is taken in the
+    cancellation-free form s = 2h / (b + sqrt(b^2 + 4ah)).  The result
+    always passes validate_config for this alpha.  Raises for alpha
+    outside (0, 2 - margin), where no admissible C1 exists.
     """
     if not alpha > 0:
         raise ConfigurationError(f"no admissible constants for alpha={alpha!r} <= 0")
-    c2 = 8.0 * alpha + 1.0
-    head = 2.0 - alpha - _C1_MARGIN
-    if head <= 0:
+    if not alpha < 2.0 - _C1_MARGIN:
         raise ConfigurationError(
             f"third admissibility inequality cannot hold with margin for alpha={alpha!r}"
         )
-
-    def slack(c1):
-        return _condition3_lhs(c1, c2) - alpha - _C1_MARGIN
-
-    hi = 1.0
-    while slack(hi) > 0:
-        hi *= 2.0
-    root = brentq(slack, 0.0, hi, xtol=1e-15)
-    c1 = min(1.0 / (2.0 * c2**3), root)
+    c2 = 8.0 * alpha + 1.0
+    head = 2.0 - alpha - _C1_MARGIN
+    a = 3.0 * math.log(2.0)
+    b = 2.0 * math.sqrt(c2) * math.log(2.0 * math.e)
+    s = 2.0 * head / (b + math.sqrt(b * b + 4.0 * a * head))
+    c1 = min(1.0 / (2.0 * c2**3), s * s)
     order = correction_order if correction_order is not None else default_correction_order(alpha)
     return EstimatorConfig(c1=c1, c2=c2, correction_order=order, rng_seed=rng_seed)
 
@@ -275,15 +274,16 @@ def split_samples(h: Histogram, rng=None) -> SplitHistograms:
     Per-symbol sums are conserved exactly.  Under poissonized input at
     rate 2n*p_i the halves are independent Poisson(n*p_i); either way the
     pair's n_effective is half the input's nominal size.  The halves are
-    tagged poissonized because their own totals are random.
+    tagged poissonized because their own totals are random, and carry that
+    same rate scale as their n_nominal (6.5 for a 13-sample input).
     """
     rng = np.random.default_rng(rng)
     est_counts = rng.binomial(h.counts, 0.5)
     sel_counts = h.counts - est_counts
-    half = h.n_nominal // 2
+    half = h.n_nominal / 2.0
     est = Histogram(counts=est_counts, n_nominal=half, model="poissonized")
     sel = Histogram(counts=sel_counts, n_nominal=half, model="poissonized")
-    return SplitHistograms(est=est, sel=sel, n_effective=h.n_nominal / 2.0)
+    return SplitHistograms(est=est, sel=sel, n_effective=half)
 
 
 def poissonized_split_pair(P, n: int, rng=None) -> SplitHistograms:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import poisson
 
 from .errors import ConfigurationError, NumericalError, SupportError
 from .functionals import (
@@ -340,6 +338,8 @@ def poisson_mixture_tv(pair: MeasurePair, n: int, k: int, trunc: int | None = No
     tail mass below 1e-12.  bound is (2eM/L)^L when the matched order L
     exceeds 2eM, else +inf (the moment argument gives nothing there).
     """
+    from scipy.stats import poisson
+
     rates = n * pair.support / k
     M = float(rates.max())
     if trunc is None:
@@ -560,8 +560,10 @@ def simplex_max_p_log2p(k: int):
     The marginal derivative ln^2 p + 2 ln p takes each value at most
     twice, so stationary points have at most two positive levels
     p+ = e^(s-1), p- = e^(-s-1) (product e^-2).  The helper enumerates
-    support sizes and level splits, solving the mass constraint for s
-    by bracketing.  Returns (value, maximizer).
+    support sizes kk and level splits m, kk - m.  The mass constraint
+    m p+ + (kk - m) p- = 1 is the quadratic m u^2 - e u + (kk - m) = 0 in
+    u = e^s, solved in closed form; roots with 0 < s <= 1 (so p+ <= 1)
+    are candidates.  Returns (value, maximizer).
 
     At k = 2 the maximum is at the two-level point
     p+/- = (1 +/- sqrt(1 - 4 e^-2)) / 2 = (0.838622, 0.161378), where the
@@ -584,24 +586,21 @@ def simplex_max_p_log2p(k: int):
             best_val = val
             best_p = np.concatenate([np.full(kk, 1.0 / kk), np.zeros(k - kk)])
         for m in range(1, kk):
-
-            def mass(s, m=m, kk=kk):
-                return m * math.exp(s - 1.0) + (kk - m) * math.exp(-s - 1.0) - 1.0
-
-            # p+ <= 1 caps s at 1; scan for sign changes and refine
-            ss = np.linspace(0.0, 1.0, 201)
-            vals = np.array([mass(s) for s in ss])
-            for i in range(len(ss) - 1):
-                if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-                    s = brentq(mass, ss[i], ss[i + 1], xtol=1e-15)
-                    if s <= 1e-12:
-                        continue
-                    hi_lv = math.exp(s - 1.0)
-                    lo_lv = math.exp(-s - 1.0)
-                    val = objective([hi_lv, lo_lv], [m, kk - m])
-                    if val > best_val:
-                        best_val = val
-                        best_p = np.concatenate(
-                            [np.full(m, hi_lv), np.full(kk - m, lo_lv), np.zeros(k - kk)]
-                        )
+            disc = math.e**2 - 4.0 * m * (kk - m)
+            if disc < 0.0:
+                continue
+            # both roots without cancellation, the smaller one first
+            big = math.e + math.sqrt(disc)
+            for u in (2.0 * (kk - m) / big, big / (2.0 * m)):
+                s = math.log(u)
+                if not 1e-12 < s <= 1.0:
+                    continue
+                hi_lv = math.exp(s - 1.0)
+                lo_lv = math.exp(-s - 1.0)
+                val = objective([hi_lv, lo_lv], [m, kk - m])
+                if val > best_val:
+                    best_val = val
+                    best_p = np.concatenate(
+                        [np.full(m, hi_lv), np.full(kk - m, lo_lv), np.zeros(k - kk)]
+                    )
     return float(best_val), best_p

@@ -7,11 +7,16 @@ package.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import minifunc
 from minifunc.cli import RunConfig, main, parse_phi, read_counts, schema_path
 from minifunc.errors import ConfigurationError, InputFormatError
 from minifunc.estimators import Histogram, corrected_plugin_estimate, default_config
@@ -317,6 +322,25 @@ class TestEstimateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("symbol,count\n0,5\n1,9223372036854775808\n", 3),
+            ("symbol,count\n9223372036854775808,5\n", 2),
+            ("3\n9223372036854775808\n", 2),
+        ],
+        ids=["histogram-count", "histogram-symbol", "sample-symbol"],
+    )
+    def test_int64_overflow_exit_2(self, tmp_path, capsys, text, line):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        code, _, err = run_cli(
+            ["estimate", "--phi", "shannon", "--input", str(path)], capsys
+        )
+        assert code == 2
+        assert f"line {line}" in err
+        assert "2**63" in err
+
 
 class TestApproxCommand:
     def test_sup_error_bit_for_bit(self, capsys):
@@ -539,3 +563,63 @@ class TestRunConfig:
     def test_embedded_includes_seed(self):
         rc = RunConfig(command="approx", params={"L": 4}, master_seed=2)
         assert rc.as_embedded() == {"L": 4, "seed": 2}
+
+
+# Run in a fresh interpreter so that modules pytest or other tests loaded do
+# not count; prints the exit code and every scipy module loaded.
+_FOOTPRINT_CHILD = """
+import contextlib, io, json, sys
+import minifunc
+from minifunc.cli import main
+argv = json.loads(sys.argv[1])
+code = 0
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"code": code, "scipy": scipy}))
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["approx", "--phi", "shannon", "--L", "8", "--interval", "0,0.1"],
+            ["check-speed", "--phi", "shannon", "--ell", "2"],
+            ["priors", "--phi", "shannon", "--L", "6", "--interval", "0,0.5",
+             "--out", "{tmp}/pair.csv"],
+            ["lower-bound", "--phi", "shannon", "--k", "100", "--n", "1000"],
+            ["lower-bound", "--phi", "power:0.5", "--k", "1000", "--n", "1000",
+             "--construction", "composite", "--gap", "1e-6"],
+            ["estimate", "--phi", "shannon", "--input", "{tmp}/uniform.csv",
+             "--preset", "default"],
+            ["estimate", "--phi", "shannon", "--input", "{tmp}/uniform.csv",
+             "--preset", "tuned"],
+            ["risk-sweep", "--family", "uniform", "--phi", "shannon",
+             "--n-grid", "30,60,120,300", "--k-rule", "fixed:10", "--reps", "100",
+             "--estimators", "plugin,composite", "--out", "{tmp}/sweep.csv"],
+        ],
+        ids=["import", "approx", "check-speed", "priors", "lower-bound-le-cam",
+             "lower-bound-composite", "estimate-default", "estimate-tuned",
+             "risk-sweep"],
+    )
+    def test_no_scipy_loaded(self, tmp_path, argv):
+        (tmp_path / "uniform.csv").write_text(
+            "symbol,count\n" + "".join(f"{i},25\n" for i in range(4))
+        )
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        src = str(Path(minifunc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["code"] == 0
+        assert result["scipy"] == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from minifunc.errors import ConfigurationError
 from minifunc.estimators import (
@@ -51,6 +52,26 @@ DEFAULT_CONSTANTS = {
     1.4: (0.0002753534436803081, 12.2, 4),
     1.9: (1.3442803211167298e-05, 16.2, 2),
 }
+
+# dense grid over the open range (0, 1.95) where default_config is defined
+ALPHA_GRID = np.linspace(0.0, 1.95, 2002)[1:-1].tolist()
+
+
+def _default_c1_brentq_reference(alpha):
+    # root of the third inequality at margin 0.05 by bracketing, as
+    # default_config found it before its closed form; the relative
+    # tolerance keeps the tiny roots near alpha = 1.95 accurate
+    c2 = 8.0 * alpha + 1.0
+
+    def slack(c1):
+        lhs = 2.0 - 3.0 * c1 * math.log(2.0) - 2.0 * math.sqrt(c1 * c2) * math.log(2.0 * math.e)
+        return lhs - alpha - 0.05
+
+    hi = 1.0
+    while slack(hi) > 0:
+        hi *= 2.0
+    return min(1.0 / (2.0 * c2**3), brentq(slack, 0.0, hi, xtol=1e-300))
+
 
 # per-symbol plugin values at n=100 with delta pinned to 0.05
 PLUGIN_POWER2_FULL = 0.99
@@ -111,6 +132,16 @@ class TestDefaultAndTunedConfig:
     @pytest.mark.parametrize("alpha", sorted(DEFAULT_CONSTANTS))
     def test_default_passes_validation(self, alpha):
         assert validate_config(default_config(alpha), alpha) == []
+
+    def test_default_c1_matches_brentq_reference(self):
+        for alpha in ALPHA_GRID:
+            assert default_config(alpha).c1 == pytest.approx(
+                _default_c1_brentq_reference(alpha), rel=1e-9
+            ), alpha
+
+    def test_default_admissible_on_dense_grid(self):
+        for alpha in ALPHA_GRID:
+            assert validate_config(default_config(alpha), alpha) == [], alpha
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.95, 2.0])
     def test_default_rejects_out_of_range_alpha(self, alpha):
@@ -277,6 +308,16 @@ class TestSplitting:
         assert split.est.model == "poissonized"
         assert split.sel.model == "poissonized"
         assert split.n_effective == 5.0
+
+    def test_odd_n_halves_share_the_rate_scale(self):
+        h = Histogram(counts=np.array([4, 9]), n_nominal=13)
+        split = split_samples(h, rng=np.random.default_rng(2))
+        assert split.est.n_nominal == split.sel.n_nominal == split.n_effective == 6.5
+        # too small for the split construction: the fallback plugin runs on
+        # the unsplit counts at their own size 13
+        res = composite_estimate(split, SH, default_config(1.0))
+        assert res.branch_counts == {"plugin": 2, "poly": 0}
+        assert res.estimate == plain_plugin_estimate(h, SH)
 
     def test_thinning_independence(self):
         # rate-2e4 Poisson counts thinned in half: est and sel are

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from minifunc.errors import ConfigurationError, NumericalError, SupportError
@@ -509,3 +510,44 @@ class TestSimplexMaxima:
         assert val == pytest.approx(want, rel=1e-9)
         assert val > math.log(2) ** 2
         assert sorted(p) == pytest.approx([p_lo, p_hi], abs=1e-6)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_p_log2p_matches_scan_reference(self, k):
+        val, p = simplex_max_p_log2p(k)
+        want_val, want_p = _p_log2p_scan_reference(k)
+        assert val == pytest.approx(want_val, rel=1e-12)
+        assert p == pytest.approx(want_p, rel=1e-12)
+
+
+def _p_log2p_scan_reference(k):
+    # the bracketing search simplex_max_p_log2p used before its closed form:
+    # scan s in [0, 1] for sign changes of the mass constraint, refine by brentq
+    def objective(levels, counts):
+        return math.fsum(c * lv * math.log(lv) ** 2 for lv, c in zip(levels, counts))
+
+    best_val, best_p = -np.inf, None
+    for kk in range(2, k + 1):
+        val = objective([1.0 / kk], [kk])
+        if val > best_val:
+            best_val = val
+            best_p = np.concatenate([np.full(kk, 1.0 / kk), np.zeros(k - kk)])
+        for m in range(1, kk):
+
+            def mass(s, m=m, kk=kk):
+                return m * math.exp(s - 1.0) + (kk - m) * math.exp(-s - 1.0) - 1.0
+
+            ss = np.linspace(0.0, 1.0, 201)
+            vals = np.array([mass(s) for s in ss])
+            for i in range(len(ss) - 1):
+                if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
+                    s = brentq(mass, ss[i], ss[i + 1], xtol=1e-15)
+                    if s <= 1e-12:
+                        continue
+                    hi_lv, lo_lv = math.exp(s - 1.0), math.exp(-s - 1.0)
+                    val = objective([hi_lv, lo_lv], [m, kk - m])
+                    if val > best_val:
+                        best_val = val
+                        best_p = np.concatenate(
+                            [np.full(m, hi_lv), np.full(kk - m, lo_lv), np.zeros(k - kk)]
+                        )
+    return best_val, best_p
