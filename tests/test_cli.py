@@ -8,6 +8,8 @@ package.
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,15 @@ import numpy as np
 import pytest
 
 import minifunc
-from minifunc.cli import RunConfig, main, parse_phi, read_counts, schema_path
+from minifunc.cli import (
+    RunConfig,
+    _read_lines,
+    _read_table,
+    main,
+    parse_phi,
+    read_counts,
+    schema_path,
+)
 from minifunc.errors import ConfigurationError, InputFormatError
 from minifunc.estimators import Histogram, corrected_plugin_estimate, default_config
 from minifunc.functionals import power_functional, shannon_functional
@@ -157,6 +167,121 @@ class TestReadCounts:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputFormatError, match="cannot read"):
             read_counts(str(tmp_path / "nope.csv"))
+
+    @pytest.mark.parametrize(
+        "text, k, expect",
+        [
+            ("symbol,count\r\n0,3\r\n2,5\r\n", None, ("histogram", [3, 0, 5])),
+            ("2\r\n0\r\n2\r\n", None, ("samples", [1, 0, 2])),
+            ("\n  \nsymbol,count\n\n0,3\n \t \n1,4\n\n", None, ("histogram", [3, 4])),
+            ("1\n\n \n1\n", None, ("samples", [0, 2])),
+            ("symbol,count\n 0 , 3 \n1,\t4\n", None, ("histogram", [3, 4])),
+            ("symbol,count\n0,+4\n+1,2\n", None, ("histogram", [4, 2])),
+            ("symbol,count\n5,1\n0,2\n3,3\n", None, ("histogram", [2, 0, 0, 3, 0, 1])),
+            ("Symbol, Count\n0,1\n", None, ("histogram", [1])),
+            ("symbol,count\n1,7", None, ("histogram", [0, 7])),
+            ("4", None, ("samples", [0, 0, 0, 0, 1])),
+            ("symbol,count\n0,3\n", 5, ("histogram", [3, 0, 0, 0, 0])),
+            ("1\n1\n", 4, ("samples", [0, 2, 0, 0])),
+            ("symbol,count\n0,1_000\n", None, ("histogram", [1000])),
+            ("symbol,count\n0,3\n# note\n1,2\n", None, (InputFormatError, 3)),
+            ("1\n5 6\n", None, (InputFormatError, 2)),
+            ("1\n5,6\n", None, (InputFormatError, 2)),
+            ("symbol,count\n1,2,3\n", None, (InputFormatError, 2)),
+            ("symbol,count\n0,\n", None, (InputFormatError, 2)),
+            ("symbol,count\n0,1\n1,2\n0,3\n", None, (InputFormatError, 4)),
+            ("symbol,count\n0,1\n1,1.0\n", None, (InputFormatError, 3)),
+            ("1.0\n", None, (InputFormatError, 1)),
+            ("symbol,count\n0,9223372036854775808\n", None, (InputFormatError, 2)),
+            ("3\n9223372036854775808\n", None, (InputFormatError, 2)),
+            ("symbol,count\n0,-1\n", None, (InputFormatError, 2)),
+            ("3\n-2\n", None, (InputFormatError, 2)),
+            ("symbol,count\n0,3\n1\x0c,4\n", None, (InputFormatError, 3)),
+            ("symbol,count\n0\x1f,3\n", None, (InputFormatError, 2)),
+            ("symbol,count\n0,①\n", None, (InputFormatError, 2)),
+            ("symbol,count\n4,1\n", 3, (ConfigurationError, None)),
+            ("symbol,count\n", None, (InputFormatError, 1)),
+            (" \n", None, (InputFormatError, 1)),
+        ],
+        ids=["crlf", "samples-crlf", "blank-lines", "samples-blank-lines", "spaces",
+             "plus-sign", "unsorted", "header-case", "single-row", "single-sample",
+             "k-override", "samples-k-override", "underscore", "comment", "samples-space",
+             "samples-comma", "three-fields", "empty-field", "duplicate", "float",
+             "samples-float", "count-2**63", "samples-2**63", "negative",
+             "samples-negative", "form-feed", "unit-separator", "circled-digit", "k-too-small",
+             "header-only", "blank-file"],
+    )
+    def test_fast_path_agrees_with_line_parser(self, tmp_path, text, k, expect):
+        def outcome(parse, *args):
+            try:
+                counts, kind = parse(*args)
+            except (InputFormatError, ConfigurationError) as e:
+                return type(e), getattr(e, "line", None)
+            assert counts.dtype == np.int64
+            return kind, counts.tolist()
+
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_counts, str(path), k) == expect
+        assert outcome(_read_lines, text.splitlines(), k) == expect
+
+    def test_fast_path_reads_plain_inputs(self):
+        assert _read_table("symbol,count\n0,3\n2,5\n", None)[1] == "histogram"
+        assert _read_table("0\n2\n2\n", None)[1] == "samples"
+        assert _read_table("symbol,count\n0,3\n \n2,5\n", None) is None
+
+    def test_fast_path_never_disagrees_on_random_inputs(self):
+        # wherever the vectorised reader answers, the per-line parsers agree
+        rng = random.Random(5)
+        numbers = ["0", "1", "3", "17", "+4", "-2", "1_0", "2.0", "9223372036854775808",
+                   "4611686018427387904"]
+        others = [",", " ", "\t", "#", "\x0c", "\x1c", "\x1f", "①", "\u2028", "\xa0", "٣", "\r"]
+        fast = 0
+        for _ in range(1000):
+            histogram = rng.random() < 0.5
+            lines = ["symbol,count"] if histogram else []
+            for _ in range(rng.randint(0, 6)):
+                line = ",".join(rng.choice(numbers[:4]) for _ in range(2 if histogram else 1))
+                if rng.random() < 0.3:
+                    at = rng.randint(0, len(line))
+                    line = line[:at] + rng.choice(numbers + others) + line[at:]
+                lines.append(line)
+            text = "".join(line + rng.choice(["\n", "\n", "\r\n", "\r"]) for line in lines)
+            if any(10**6 <= int(m) < 2**62 for m in re.findall("[0-9]+", text)):
+                continue  # an alphabet that large would really be allocated
+            k = rng.choice([None, None, 4, 40])
+            got = _read_table(text, k)
+            if got is None:
+                continue
+            fast += 1
+            counts, kind = _read_lines(text.splitlines(), k)
+            assert got[1] == kind, repr(text)
+            assert got[0].tolist() == counts.tolist(), repr(text)
+        assert fast > 100
+
+    @pytest.mark.parametrize(
+        "data, line, needle",
+        [
+            (b"symbol,count\n0,4611686018427387904\n1,4611686018427387904\n", 3, "2**63"),
+            (b"symbol,count\n4611686018427387904,5\n", 2, "k = 4611686018427387905"),
+            (b"7\n9223372036854775807\n", 2, "k = 9223372036854775808"),
+            (b"symbol,count\r\n0,3\r\n1,\xff\r\n", 3, "0xff"),
+        ],
+        ids=["total-overflow", "symbol-too-large", "sample-too-large", "non-utf8"],
+    )
+    def test_mended_faults_exit_2(self, tmp_path, capsys, data, line, needle):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        code, _, err = run_cli(["estimate", "--phi", "shannon", "--input", str(path)], capsys)
+        assert code == 2
+        assert f"line {line}:" in err
+        assert needle in err
+
+    def test_k_override_too_large_to_allocate(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("symbol,count\n0,3\n")
+        with pytest.raises(ConfigurationError, match="too large to allocate"):
+            read_counts(str(path), k_override=2**62)
 
 
 class TestEstimateCommand:
