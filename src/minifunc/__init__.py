@@ -24,13 +24,7 @@ from .functionals import (
 )
 from .polyapprox import (
     ApproxResult,
-    ErrorCurve,
     Polynomial,
-    approx_error_curve,
-    bernstein_approx,
-    bernstein_eval,
-    finite_difference,
-    modulus_of_smoothness,
     remez_best_approx,
 )
 from .estimators import (
@@ -44,7 +38,6 @@ from .estimators import (
     default_config,
     default_correction_order,
     plain_plugin_estimate,
-    poissonized_split_pair,
     recommended_estimator,
     sample_histogram,
     split_samples,
@@ -75,7 +68,6 @@ from .lowerbounds import (
     le_cam_bound,
     moment_matched_pair,
     poisson_mixture_tv,
-    tail_shift_pair,
     tilted_pair,
     two_point_pair,
 )

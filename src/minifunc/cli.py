@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -265,6 +266,20 @@ def _too_large(k: int, k_override: int | None, top: int, top_line: int) -> Minif
     return InputFormatError(f"symbol {top} implies k = {k}, too large to allocate", line=top_line)
 
 
+# leading zeros after optional space and sign, each followed by another digit
+_LEADING_ZEROS = re.compile(r"^(\s*[+-]?)0+(?=\d)")
+
+
+def _int_field(field: str) -> int:
+    """int(field), reading a zero-padded field as its value.
+
+    int() counts padding against Python's 4300-digit limit and numpy's
+    reader does not, so the padding goes first; a value that itself has
+    more digits is still rejected.
+    """
+    return int(_LEADING_ZEROS.sub(r"\1", field))
+
+
 def _parse_histogram(lines, k_override) -> np.ndarray:
     entries: dict[int, int] = {}
     seen_header = False
@@ -281,7 +296,7 @@ def _parse_histogram(lines, k_override) -> np.ndarray:
         if len(parts) != 2:
             raise InputFormatError(f"expected 'symbol,count', got {s!r}", line=lineno)
         try:
-            sym, cnt = int(parts[0]), int(parts[1])
+            sym, cnt = _int_field(parts[0]), _int_field(parts[1])
         except ValueError:
             raise InputFormatError(f"non-integer field in {s!r}", line=lineno) from None
         if sym < 0 or cnt < 0:
@@ -316,7 +331,7 @@ def _parse_samples(lines, k_override) -> np.ndarray:
         if not s:
             continue
         try:
-            sym = int(s)
+            sym = _int_field(s)
         except ValueError:
             raise InputFormatError(f"expected one integer symbol, got {s!r}", line=lineno) from None
         if sym < 0:

@@ -32,7 +32,6 @@ __all__ = [
     "recommended_estimator",
     "sample_histogram",
     "split_samples",
-    "poissonized_split_pair",
     "factorial_moment",
     "best_poly_symbol_estimate",
     "plugin_symbol_estimate",
@@ -284,13 +283,6 @@ def split_samples(h: Histogram, rng=None) -> SplitHistograms:
     est = Histogram(counts=est_counts, n_nominal=half, model="poissonized")
     sel = Histogram(counts=sel_counts, n_nominal=half, model="poissonized")
     return SplitHistograms(est=est, sel=sel, n_effective=half)
-
-
-def poissonized_split_pair(P, n: int, rng=None) -> SplitHistograms:
-    """Canonical pipeline: draw poissonized at 2n, split into halves at rate n."""
-    rng = np.random.default_rng(rng)
-    h = sample_histogram(P, 2 * n, model="poissonized", rng=rng)
-    return split_samples(h, rng=rng)
 
 
 def factorial_moment(N: int, m: int) -> float:

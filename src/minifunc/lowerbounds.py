@@ -29,7 +29,6 @@ __all__ = [
     "TwoPointPair",
     "two_point_pair",
     "canonical_two_point_pair",
-    "tail_shift_pair",
     "le_cam_bound",
     "hellinger_le_cam_bound",
     "MeasurePair",
@@ -136,25 +135,6 @@ def canonical_two_point_pair(
             f"perturbed mass q={q:.6g} escapes (0, 1); reduce c or increase n"
         )
     return two_point_pair(phi, k, p, q)
-
-
-def tail_shift_pair(beta: float, delta: float, k: int):
-    """Uniform-tail pair: (k-1) symbols at beta/(k-1) vs (beta+delta)/(k-1).
-
-    The last symbol absorbs the shift, so the total variation distance
-    is exactly delta.  Returns (P, Q) as ProbabilityVectors.
-    """
-    if k < 2:
-        raise ConfigurationError(f"alphabet size must be >= 2, got {k}")
-    if not (0.0 < beta and 0.0 < delta and beta + delta < 1.0):
-        raise ConfigurationError(
-            f"need 0 < beta, 0 < delta, beta + delta < 1; got beta={beta!r} delta={delta!r}"
-        )
-    P = ProbabilityVector(np.concatenate([np.full(k - 1, beta / (k - 1)), [1.0 - beta]]))
-    Q = ProbabilityVector(
-        np.concatenate([np.full(k - 1, (beta + delta) / (k - 1)), [1.0 - beta - delta]])
-    )
-    return P, Q
 
 
 def le_cam_bound(P, Q, phi: Functional, n: int) -> float:
@@ -334,23 +314,34 @@ def poisson_mixture_tv(pair: MeasurePair, n: int, k: int, trunc: int | None = No
     """Total variation between the two Poisson mixtures at rates n*x/k.
 
     numeric_tv sums |mixture pmf difference| over 0..trunc; trunc
-    defaults to max_rate + 12 sqrt(max_rate) + 50, which leaves Poisson
-    tail mass below 1e-12.  bound is (2eM/L)^L when the matched order L
-    exceeds 2eM, else +inf (the moment argument gives nothing there).
+    defaults to max_rate + 12 sqrt(max_rate) + 50.  The mass beyond trunc
+    is certified below 1e-12 by the Chernoff bound
+    P(X >= t) <= e^-M (eM/t)^t at t = trunc + 1 > M.  bound is
+    (2eM/L)^L when the matched order L exceeds 2eM, else +inf (the
+    moment argument gives nothing there).
     """
-    from scipy.stats import poisson
-
     rates = n * pair.support / k
     M = float(rates.max())
     if trunc is None:
         trunc = int(math.ceil(M + 12.0 * math.sqrt(M) + 50.0))
-    tail = float(poisson.sf(trunc, M)) if M > 0 else 0.0
+    t = trunc + 1
+    if M <= 0.0:
+        tail = 0.0
+    elif t <= M:
+        tail = 1.0
+    else:
+        tail = math.exp(t * math.log(math.e * M / t) - M)
     if tail >= 1e-12:
         raise NumericalError(
-            f"truncation {trunc} leaves Poisson tail mass {tail:.3g} at rate {M:.6g}"
+            f"truncation {trunc} leaves Poisson tail mass up to {tail:.3g} at rate {M:.6g}"
         )
+    # log-space pmf j ln r - r - ln j!; a zero rate puts all its mass at j = 0
     j = np.arange(trunc + 1)
-    pmf = poisson.pmf(j[:, None], rates[None, :])
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(trunc + 1)])
+    positive = rates > 0.0
+    log_rates = np.log(np.where(positive, rates, 1.0))
+    log_pmf = j[:, None] * log_rates[None, :] - rates[None, :] - log_fact[:, None]
+    pmf = np.where(positive[None, :], np.exp(log_pmf), (j == 0)[:, None])
     diff = pmf @ pair.w0 - pmf @ pair.w1
     tv = 0.5 * float(np.abs(diff).sum())
     L = pair.matched_orders
@@ -531,76 +522,44 @@ def fitted_bound_constants(phi: Functional, alpha: float | None = None, grid_poi
 
 
 def simplex_max_power_sum(alpha: float, k: int):
-    """Numeric max of sum p_i^alpha over the k-simplex.
+    """Max of sum p_i^alpha over the k-simplex.
 
     Stationarity of a separable objective with strictly monotone
     marginal derivative forces all positive coordinates to one common
-    level, so the candidates are uniform on each support size; the
-    helper enumerates them.  Returns (value, maximizer).
+    level, so the candidates are uniform on m symbols with value
+    m^(1 - alpha).  That is increasing in m for alpha < 1 (maximum
+    k^(1 - alpha), uniform) and decreasing for alpha > 1 (maximum 1, a
+    point mass).  Returns (value, maximizer).
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if alpha <= 0 or alpha == 1.0:
         raise ConfigurationError(f"alpha must be positive and != 1, got {alpha!r}")
-    best_val = -np.inf
-    best_m = 1
-    for m in range(1, k + 1):
-        val = m ** (1.0 - alpha)
-        if val > best_val:
-            best_val = val
-            best_m = m
+    m = k if alpha < 1.0 else 1
     p = np.zeros(k)
-    p[:best_m] = 1.0 / best_m
-    return float(best_val), p
+    p[:m] = 1.0 / m
+    return float(m ** (1.0 - alpha)), p
 
 
 def simplex_max_p_log2p(k: int):
-    """Numeric max of sum p_i ln^2 p_i over the k-simplex.
+    """Max of sum p_i ln^2 p_i over the k-simplex.
 
     The marginal derivative ln^2 p + 2 ln p takes each value at most
     twice, so stationary points have at most two positive levels
-    p+ = e^(s-1), p- = e^(-s-1) (product e^-2).  The helper enumerates
-    support sizes kk and level splits m, kk - m.  The mass constraint
-    m p+ + (kk - m) p- = 1 is the quadratic m u^2 - e u + (kk - m) = 0 in
-    u = e^s, solved in closed form; roots with 0 < s <= 1 (so p+ <= 1)
-    are candidates.  Returns (value, maximizer).
-
-    At k = 2 the maximum is at the two-level point
-    p+/- = (1 +/- sqrt(1 - 4 e^-2)) / 2 = (0.838622, 0.161378), where the
-    sum is 0.562880, above the uniform value ln^2 2.  For k >= 3 the
-    maximum is the uniform value ln^2 k (confirmed numerically at
-    k in {3, 4, 10, 100}).
+    p+ = e^(s-1), p- = e^(-s-1) (product e^-2) on m and kk - m symbols.
+    The mass constraint m p+ + (kk - m) p- = 1 is the quadratic
+    m u^2 - e u + (kk - m) = 0 in u = e^s, whose discriminant
+    e^2 - 4 m (kk - m) is negative unless kk = 2, m = 1.  So the
+    candidates are the uniform points, with value ln^2 kk, and at kk = 2
+    the two-level point p+/- = (1 +/- sqrt(1 - 4 e^-2)) / 2 =
+    (0.838622, 0.161378) with value 0.562880.  That point beats ln^2 2
+    but not ln^2 3: the maximum is the two-level point at k = 2 and the
+    uniform value ln^2 k for k >= 3.  Returns (value, maximizer).
     """
     if k < 2:
         raise ConfigurationError(f"k must be >= 2, got {k}")
-
-    def objective(levels, counts):
-        return math.fsum(c * lv * math.log(lv) ** 2 for lv, c in zip(levels, counts))
-
-    best_val = -np.inf
-    best_p = None
-    for kk in range(2, k + 1):
-        # single-level candidate: uniform on kk symbols
-        val = objective([1.0 / kk], [kk])
-        if val > best_val:
-            best_val = val
-            best_p = np.concatenate([np.full(kk, 1.0 / kk), np.zeros(k - kk)])
-        for m in range(1, kk):
-            disc = math.e**2 - 4.0 * m * (kk - m)
-            if disc < 0.0:
-                continue
-            # both roots without cancellation, the smaller one first
-            big = math.e + math.sqrt(disc)
-            for u in (2.0 * (kk - m) / big, big / (2.0 * m)):
-                s = math.log(u)
-                if not 1e-12 < s <= 1.0:
-                    continue
-                hi_lv = math.exp(s - 1.0)
-                lo_lv = math.exp(-s - 1.0)
-                val = objective([hi_lv, lo_lv], [m, kk - m])
-                if val > best_val:
-                    best_val = val
-                    best_p = np.concatenate(
-                        [np.full(m, hi_lv), np.full(kk - m, lo_lv), np.zeros(k - kk)]
-                    )
-    return float(best_val), best_p
+    if k >= 3:
+        return math.log(k) ** 2, np.full(k, 1.0 / k)
+    root = math.sqrt(1.0 - 4.0 * math.exp(-2.0))
+    p = np.array([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
+    return math.fsum(v * math.log(v) ** 2 for v in p.tolist()), p

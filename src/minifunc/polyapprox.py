@@ -21,17 +21,13 @@ returned polynomial is converted to the monomial basis of the original
 variable at the very end: downstream estimators need raw coefficients,
 and a single conversion confines the monomial basis's poor conditioning
 to one step.
-
-Supporting cast: centered finite differences, moduli of smoothness (used
-to bracket how fast E_L can decay), and the Bernstein operator (a cheap
-upper bound on approximation quality).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -42,13 +38,7 @@ from .functionals import Functional, _golden_max
 __all__ = [
     "Polynomial",
     "ApproxResult",
-    "ErrorCurve",
-    "finite_difference",
-    "modulus_of_smoothness",
-    "bernstein_approx",
-    "bernstein_eval",
     "remez_best_approx",
-    "approx_error_curve",
 ]
 
 @dataclass(frozen=True)
@@ -108,118 +98,6 @@ class ApproxResult:
 
 def _as_callable(f) -> Callable:
     return f.eval if isinstance(f, Functional) else f
-
-
-def finite_difference(f, L: int, h: float, x: float, interval) -> float:
-    """Centered difference of order L and step h at x.
-
-    Returns 0 when the stencil x +/- h*L/2 leaves the interval.
-    """
-    if L < 1:
-        raise ConfigurationError(f"difference order must be >= 1, got {L}")
-    if h <= 0:
-        raise ConfigurationError(f"step h must be positive, got {h}")
-    fn = _as_callable(f)
-    lo, hi = float(interval[0]), float(interval[1])
-    if x - L * h / 2.0 < lo or x + L * h / 2.0 > hi:
-        return 0.0
-    terms = [
-        (-1.0) ** (L - m) * math.comb(L, m) * float(fn(x + (L / 2.0 - m) * h))
-        for m in range(L + 1)
-    ]
-    return math.fsum(terms)
-
-
-def modulus_of_smoothness(
-    f,
-    L: int,
-    t: float,
-    interval,
-    weight: str = "unit",
-    h_points: int = 64,
-    x_points: int = 4096,
-) -> float:
-    """L-th modulus of smoothness omega^L(f, t) over the interval.
-
-    sup over step sizes h in (0, t] and positions x of the magnitude of
-    the L-th centered difference, with the stencil clipped to the
-    interval.  weight="sqrt_semicircle" scales the step by sqrt(1 - x^2)
-    (the Ditzian-Totik weighting on [-1, 1]); weight="unit" leaves it
-    alone.  Grid sup: h on a log grid, x on a uniform grid.
-    """
-    if weight not in ("unit", "sqrt_semicircle"):
-        raise ConfigurationError(f"unknown weight {weight!r}")
-    if t <= 0:
-        raise ConfigurationError(f"modulus scale t must be positive, got {t}")
-    if L < 1:
-        raise ConfigurationError(f"modulus order must be >= 1, got {L}")
-    fn = _as_callable(f)
-    lo, hi = float(interval[0]), float(interval[1])
-    hs = np.geomspace(t * 1e-4, t, h_points)
-    xs = np.linspace(lo, hi, x_points)
-    signs = np.array([(-1.0) ** (L - m) * math.comb(L, m) for m in range(L + 1)])
-    offsets = L / 2.0 - np.arange(L + 1)
-    span_tol = 1e-12 * (hi - lo)
-    best = 0.0
-    for h in hs:
-        if weight == "unit":
-            step = np.full_like(xs, h)
-        else:
-            step = h * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-        inside = (xs - step * (L / 2.0) >= lo - span_tol) & (
-            xs + step * (L / 2.0) <= hi + span_tol
-        )
-        if not inside.any():
-            continue
-        xin = xs[inside]
-        sin_ = step[inside]
-        acc = np.zeros_like(xin)
-        for w, o in zip(signs, offsets):
-            acc += w * np.asarray(fn(xin + o * sin_), dtype=float)
-        m = float(np.max(np.abs(acc)))
-        if m > best:
-            best = m
-    return best
-
-
-def bernstein_approx(f, L: int) -> Polynomial:
-    """Degree-L Bernstein polynomial of f on [0, 1], in the monomial basis.
-
-    B_L[f](x) = sum_v f(v/L) C(L,v) x^v (1-x)^(L-v).  The expansion is
-    exact integer combinatorics, but the alternating sums cancel
-    catastrophically for large degree, so L > 64 is rejected; use
-    bernstein_eval for pointwise values at any degree.
-    """
-    if L < 1:
-        raise ConfigurationError(f"Bernstein degree must be >= 1, got {L}")
-    if L > 64:
-        raise ConfigurationError(
-            "monomial expansion unstable beyond degree 64; use bernstein_eval"
-        )
-    fn = _as_callable(f)
-    fv = [float(fn(v / L)) for v in range(L + 1)]
-    coeffs = np.zeros(L + 1)
-    for m in range(L + 1):
-        terms = [
-            fv[v] * float(math.comb(L, v) * math.comb(L - v, m - v)) * (-1.0) ** (m - v)
-            for v in range(m + 1)
-        ]
-        coeffs[m] = math.fsum(terms)
-    return Polynomial(coeffs, (0.0, 1.0))
-
-
-def bernstein_eval(f, L: int, x):
-    """Pointwise B_L[f](x) on [0, 1] via stable binomial weights (any L)."""
-    from scipy.stats import binom
-
-    if L < 1:
-        raise ConfigurationError(f"Bernstein degree must be >= 1, got {L}")
-    fn = _as_callable(f)
-    x = np.asarray(x, dtype=float)
-    fv = np.array([float(fn(v / L)) for v in range(L + 1)])
-    weights = binom.pmf(np.arange(L + 1)[:, None], L, x.reshape(1, -1).clip(0.0, 1.0))
-    out = (fv @ weights).reshape(x.shape)
-    return out if out.ndim else float(out)
 
 
 def remez_best_approx(
@@ -399,43 +277,3 @@ def _to_monomial(cheb_coef, lo, hi, L) -> Polynomial:
     coeffs[: px.coef.size] = px.coef
     return Polynomial(coeffs, (lo, hi))
 
-
-@dataclass(frozen=True)
-class ErrorCurve:
-    """E_L(f, [0, lam]) over a grid of degrees and interval widths."""
-
-    records: tuple
-    slope_vs_L: dict
-    slope_vs_lam: dict
-
-
-def approx_error_curve(f, L_values: Sequence[int], lam_values: Sequence[float]) -> ErrorCurve:
-    """Tabulate E_L(f, [0, lam]) and fit log-log slopes in L and lam."""
-    L_values = [int(L) for L in L_values]
-    lam_values = [float(v) for v in lam_values]
-    if any(v <= 0 for v in lam_values):
-        raise ConfigurationError("interval widths must be positive")
-    records = []
-    table: dict[tuple[int, float], float] = {}
-    for lam in lam_values:
-        for L in L_values:
-            res = remez_best_approx(f, L, (0.0, lam))
-            table[(L, lam)] = res.sup_error
-            records.append((L, lam, res.sup_error, res.converged))
-    slope_vs_L = {}
-    if len(L_values) >= 2:
-        for lam in lam_values:
-            errs = np.array([table[(L, lam)] for L in L_values])
-            if np.all(errs > 0):
-                slope_vs_L[lam] = float(
-                    np.polyfit(np.log(np.array(L_values, dtype=float)), np.log(errs), 1)[0]
-                )
-    slope_vs_lam = {}
-    if len(lam_values) >= 2:
-        for L in L_values:
-            errs = np.array([table[(L, lam)] for lam in lam_values])
-            if np.all(errs > 0):
-                slope_vs_lam[L] = float(
-                    np.polyfit(np.log(np.array(lam_values)), np.log(errs), 1)[0]
-                )
-    return ErrorCurve(records=tuple(records), slope_vs_L=slope_vs_L, slope_vs_lam=slope_vs_lam)

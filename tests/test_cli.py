@@ -202,6 +202,8 @@ class TestReadCounts:
             ("symbol,count\n4,1\n", 3, (ConfigurationError, None)),
             ("symbol,count\n", None, (InputFormatError, 1)),
             (" \n", None, (InputFormatError, 1)),
+            ("symbol,count\n0," + "0" * 4300 + "5\n1,2\n", None, ("histogram", [5, 2])),
+            ("symbol,count\n0," + "0" * 4300 + "5\n \n1,2\n", None, ("histogram", [5, 2])),
         ],
         ids=["crlf", "samples-crlf", "blank-lines", "samples-blank-lines", "spaces",
              "plus-sign", "unsorted", "header-case", "single-row", "single-sample",
@@ -209,7 +211,7 @@ class TestReadCounts:
              "samples-comma", "three-fields", "empty-field", "duplicate", "float",
              "samples-float", "count-2**63", "samples-2**63", "negative",
              "samples-negative", "form-feed", "unit-separator", "circled-digit", "k-too-small",
-             "header-only", "blank-file"],
+             "header-only", "blank-file", "zero-padded-4300", "zero-padded-4300-blank-line"],
     )
     def test_fast_path_agrees_with_line_parser(self, tmp_path, text, k, expect):
         def outcome(parse, *args):
@@ -706,6 +708,15 @@ print(json.dumps({"code": code, "scipy": scipy}))
 """
 
 
+def _run_child(code, *args):
+    src = str(Path(minifunc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 class TestImportFootprint:
     @pytest.mark.parametrize(
         "argv",
@@ -735,16 +746,24 @@ class TestImportFootprint:
             "symbol,count\n" + "".join(f"{i},25\n" for i in range(4))
         )
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-        src = str(Path(minifunc.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(argv)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_child(_FOOTPRINT_CHILD, json.dumps(argv))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["code"] == 0
         assert result["scipy"] == []
+
+    def test_runs_with_scipy_blocked(self):
+        # scipy is a test-only dependency: the library must run without it
+        child = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+import minifunc
+from minifunc.cli import main
+pair = minifunc.moment_matched_pair(minifunc.shannon_functional(), 8, (0.0, 1.0))
+assert 0.0 < minifunc.poisson_mixture_tv(pair, 1, 1).numeric_tv < 1e-8
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["lower-bound", "--phi", "power:0.5", "--k", "1000", "--n", "1000",
+                 "--construction", "composite", "--gap", "1e-6"]) == 0
+"""
+        proc = _run_child(child)
+        assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,6 @@ from minifunc.estimators import (
     factorial_moment,
     plain_plugin_estimate,
     plugin_symbol_estimate,
-    poissonized_split_pair,
     recommended_estimator,
     sample_histogram,
     split_samples,
@@ -332,7 +331,10 @@ class TestSplitting:
         assert abs(cov) <= 3.0 * sigma
 
     def test_poissonized_split_pair_scale(self):
-        split = poissonized_split_pair(np.array([0.5, 0.5]), 1000, rng=np.random.default_rng(3))
+        # draw poissonized at 2n, split into halves at rate n
+        rng = np.random.default_rng(3)
+        h = sample_histogram(np.array([0.5, 0.5]), 2000, model="poissonized", rng=rng)
+        split = split_samples(h, rng=rng)
         assert split.n_effective == 1000.0
         assert split.est.n_nominal == 1000
         # each half sits near its Poisson rate n*p = 500

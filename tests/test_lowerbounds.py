@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import xlogy
+from scipy.stats import poisson
 
 from minifunc.errors import ConfigurationError, NumericalError, SupportError
 from minifunc.functionals import (
@@ -37,7 +38,6 @@ from minifunc.lowerbounds import (
     poisson_mixture_tv,
     simplex_max_p_log2p,
     simplex_max_power_sum,
-    tail_shift_pair,
     tilted_pair,
     two_point_pair,
 )
@@ -107,7 +107,9 @@ class TestDivergence:
         assert h2 <= 4.0 * tv + 1e-12
 
     def test_tail_shift_tv_is_delta(self):
-        P, Q = tail_shift_pair(0.01, 0.01, 50)
+        # 49 symbols at beta/49 vs (beta + delta)/49, the last absorbs the shift
+        P = ProbabilityVector(np.concatenate([np.full(49, 0.01 / 49), [1.0 - 0.01]]))
+        Q = ProbabilityVector(np.concatenate([np.full(49, 0.02 / 49), [1.0 - 0.02]]))
         assert divergence(P, Q, "tv") == pytest.approx(0.01, rel=1e-12)
 
     def test_support_violation(self):
@@ -204,7 +206,8 @@ class TestHellingerLeCamBound:
     def test_tail_shift_chain(self):
         # tail-shift family, fitted first divergence-speed constant
         phi = power_functional(-0.5)
-        P, Q = tail_shift_pair(0.01, 0.01, 50)
+        P = ProbabilityVector(np.concatenate([np.full(49, 0.01 / 49), [1.0 - 0.01]]))
+        Q = ProbabilityVector(np.concatenate([np.full(49, 0.02 / 49), [1.0 - 0.02]]))
         assert divergence(P, Q, "hellinger") == pytest.approx(
             0.003482219253395371, rel=1e-10
         )
@@ -393,6 +396,26 @@ class TestPoissonMixtureTV:
         pair = moment_matched_pair(SH, 8, (0.0, 1.0))
         with pytest.raises(NumericalError, match="tail"):
             poisson_mixture_tv(pair, 100, 1, trunc=60)
+
+    @pytest.mark.parametrize("s, L", [(1.0, 6), (1.0, 8), (1.0, 10), (0.5, 4)])
+    def test_matches_scipy_pmf_on_gate_pairs(self, s, L):
+        pair = moment_matched_pair(SH.eval, L, (0.0, s))
+        res = poisson_mixture_tv(pair, 1, 1)
+        assert res.numeric_tv == pytest.approx(_scipy_mixture_tv(pair, 1, 1, res.trunc), abs=1e-15)
+
+    def test_matches_scipy_pmf_at_large_rate(self):
+        # rates up to 1000 reach j ~ 1400, where ln j! is large
+        pair = moment_matched_pair(SH.eval, 20, (0.0, 1.0))
+        res = poisson_mixture_tv(pair, 1000, 1)
+        assert res.max_rate == pytest.approx(1000.0)
+        want = _scipy_mixture_tv(pair, 1000, 1, res.trunc)
+        assert 0.5 < want < 0.99
+        assert res.numeric_tv == pytest.approx(want, abs=1e-13)
+
+
+def _scipy_mixture_tv(pair, n, k, trunc):
+    pmf = poisson.pmf(np.arange(trunc + 1)[:, None], (n * pair.support / k)[None, :])
+    return 0.5 * float(np.abs(pmf @ pair.w0 - pmf @ pair.w1).sum())
 
 
 class TestCompositeLowerBound:

@@ -1,137 +1,15 @@
-"""Tests for finite differences, moduli, Bernstein, and the Remez engine."""
+"""Tests for the Remez engine."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
-from minifunc.errors import ConfigurationError
 from minifunc.functionals import power_functional, shannon_functional
-from minifunc.polyapprox import (
-    approx_error_curve,
-    bernstein_approx,
-    bernstein_eval,
-    finite_difference,
-    modulus_of_smoothness,
-    remez_best_approx,
-)
+from minifunc.polyapprox import remez_best_approx
 
 SH = shannon_functional()
-
-
-class TestFiniteDifference:
-    def test_first_difference_of_identity(self):
-        # the alternating-sign display puts (-1)^(L-m) on node x+(L/2-m)h,
-        # so odd orders come out with the opposite sign of the classical
-        # convention; magnitudes are what the moduli consume
-        got = finite_difference(lambda x: x, 1, 0.2, 0.5, (0.0, 1.0))
-        assert abs(got) == pytest.approx(0.2, rel=1e-12)
-
-    def test_second_difference_kills_linear(self):
-        got = finite_difference(lambda x: 2.0 * x + 1.0, 2, 0.13, 0.5, (0.0, 1.0))
-        assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_second_difference_of_square(self):
-        got = finite_difference(lambda x: x * x, 2, 0.1, 0.5, (0.0, 1.0))
-        assert got == pytest.approx(0.02, rel=1e-9)
-
-    def test_zero_outside_window(self):
-        assert finite_difference(lambda x: x, 1, 0.5, 0.1, (0.0, 1.0)) == 0.0
-        assert finite_difference(lambda x: x, 1, 0.5, 0.9, (0.0, 1.0)) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            finite_difference(lambda x: x, 0, 0.1, 0.5, (0.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            finite_difference(lambda x: x, 1, 0.0, 0.5, (0.0, 1.0))
-
-
-class TestModulusOfSmoothness:
-    def test_linear_first_order(self):
-        got = modulus_of_smoothness(lambda x: 3.0 * x, 1, 0.3, (-1.0, 1.0))
-        assert got == pytest.approx(0.9, rel=1e-6)
-
-    def test_linear_second_order_vanishes(self):
-        got = modulus_of_smoothness(lambda x: 2.0 - 5.0 * x, 2, 0.4, (0.0, 1.0))
-        assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_square_first_order(self):
-        # sup of |f(x+h/2)-f(x-h/2)| at the right edge: f(1)-f(0.9)
-        got = modulus_of_smoothness(lambda x: np.asarray(x) ** 2, 1, 0.1, (0.0, 1.0))
-        assert got == pytest.approx(0.19, rel=1e-2)
-
-    @pytest.mark.parametrize(
-        "fn",
-        [
-            lambda x: np.abs(np.asarray(x) - 0.3),
-            lambda x: np.sin(5.0 * np.asarray(x)),
-            lambda x: np.asarray(x, dtype=float) ** 2,
-        ],
-    )
-    def test_first_order_matches_pairwise_oscillation(self, fn):
-        t = 0.17
-        got = modulus_of_smoothness(fn, 1, t, (0.0, 1.0))
-        xs = np.linspace(0.0, 1.0, 1500)
-        fx = fn(xs)
-        brute = 0.0
-        for i in range(xs.size):
-            mask = np.abs(xs - xs[i]) <= t
-            brute = max(brute, float(np.abs(fx[mask] - fx[i]).max()))
-        assert got == pytest.approx(brute, rel=0.01)
-
-    def test_weight_and_validation(self):
-        got = modulus_of_smoothness(SH, 2, 0.1, (0.0, 1.0), weight="sqrt_semicircle")
-        assert got >= 0.0
-        with pytest.raises(ConfigurationError, match="weight"):
-            modulus_of_smoothness(SH, 2, 0.1, (0.0, 1.0), weight="gauss")
-        with pytest.raises(ConfigurationError, match="t"):
-            modulus_of_smoothness(SH, 2, 0.0, (0.0, 1.0))
-
-
-class TestBernstein:
-    def test_reproduces_identity(self):
-        p = bernstein_approx(lambda x: np.asarray(x, dtype=float), 10)
-        want = np.zeros(11)
-        want[1] = 1.0
-        assert p.coeffs == pytest.approx(want, abs=1e-12)
-
-    def test_partition_of_unity(self):
-        p = bernstein_approx(lambda x: np.ones_like(np.asarray(x, dtype=float)), 5)
-        want = np.zeros(6)
-        want[0] = 1.0
-        assert p.coeffs == pytest.approx(want, abs=1e-12)
-
-    def test_square_degree_two(self):
-        p = bernstein_approx(lambda x: np.asarray(x, dtype=float) ** 2, 2)
-        assert p.coeffs == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
-
-    def test_expansion_matches_eval_form(self):
-        # monomial coefficients carry alternating terms of size ~C(L,L/2)^2,
-        # so agreement with the stable evaluation form degrades with degree:
-        # ~1e-12 at L=12 but only ~1e-3 by L=32 in double precision
-        xs = np.linspace(0.0, 1.0, 257)
-        p12 = bernstein_approx(SH, 12)
-        direct12 = bernstein_eval(SH, 12, xs)
-        assert np.max(np.abs(p12(xs) - direct12)) <= 1e-10
-        p32 = bernstein_approx(SH, 32)
-        direct32 = bernstein_eval(SH, 32, xs)
-        assert np.max(np.abs(p32(xs) - direct32)) <= 5e-3
-
-    def test_degree_guard(self):
-        with pytest.raises(ConfigurationError, match="64"):
-            bernstein_approx(SH, 65)
-        # evaluation form has no such cap
-        assert bernstein_eval(SH, 128, 0.5) == pytest.approx(SH.eval(0.5), rel=0.05)
-
-    def test_error_decay_power_17(self):
-        # fitted slope at least as steep as -(alpha/2) within 15%
-        phi = power_functional(1.7)
-        xs = np.linspace(0.0, 1.0, 4097)
-        Ls = [8, 16, 32, 64]
-        errs = [float(np.abs(bernstein_eval(phi, L, xs) - phi.eval(xs)).max()) for L in Ls]
-        slope = float(np.polyfit(np.log(Ls), np.log(errs), 1)[0])
-        assert slope <= -(1.7 / 2.0) * (1.0 - 0.15)
-        assert slope >= -1.5
 
 
 class TestRemez:
@@ -176,33 +54,15 @@ class TestRemez:
         r = remez_best_approx(SH, 0, (0.0, 1.0))
         assert r.sup_error == pytest.approx(1.0 / (2.0 * math.e), rel=1e-9)
 
-    def test_best_below_bernstein(self):
+    def test_best_below_chebyshev_interpolant(self):
         xs = np.linspace(0.0, 1.0, 4097)
-        bern = float(np.abs(bernstein_eval(SH, 8, xs) - SH.eval(xs)).max())
+        interp = Chebyshev.interpolate(SH.eval, 8, domain=[0.0, 1.0])
+        cheb = float(np.abs(interp(xs) - SH.eval(xs)).max())
         best = remez_best_approx(SH, 8, (0.0, 1.0)).sup_error
-        assert best <= bern
+        assert best <= cheb
         assert best == pytest.approx(0.003526450676265065, rel=1e-8)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(Exception, match="finite"):
             remez_best_approx(power_functional(-0.5), 3, (0.0, 1.0))
 
-
-class TestErrorCurve:
-    def test_power_half_slope_in_degree(self):
-        ec = approx_error_curve(power_functional(0.5), [4, 8, 16, 24, 32, 40], [0.1])
-        slope = ec.slope_vs_L[0.1]
-        assert slope == pytest.approx(-1.0, abs=0.15)
-
-    def test_power_half_slope_in_width(self):
-        ec = approx_error_curve(power_functional(0.5), [16], [0.02, 0.05, 0.1, 0.2, 0.5])
-        slope = ec.slope_vs_lam[16]
-        assert slope == pytest.approx(0.5, abs=0.1)
-
-    def test_linear_exact(self):
-        ec = approx_error_curve(power_functional(1.0), [1, 3], [0.5])
-        assert all(rec[2] <= 1e-12 for rec in ec.records)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="positive"):
-            approx_error_curve(SH, [2], [0.0])
