@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -56,42 +55,7 @@ from .lowerbounds import (
 from .polyapprox import remez_best_approx
 from .risklab import ESTIMATORS, rate_sweep
 
-__all__ = ["RunConfig", "main", "parse_phi", "read_counts", "schema_path"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command name, parameter dict, master seed.
-
-    Everything inside params is a plain JSON type, so a config
-    round-trips through to_json/from_json without loss.
-    """
-
-    command: str
-    params: dict
-    master_seed: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "params": self.params,
-                "master_seed": self.master_seed,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        doc = json.loads(text)
-        return cls(
-            command=doc["command"],
-            params=doc["params"],
-            master_seed=doc["master_seed"],
-        )
-
-    def as_embedded(self) -> dict:
-        return dict(self.params, seed=self.master_seed)
+__all__ = ["main", "parse_phi", "read_counts", "schema_path"]
 
 
 def schema_path(command: str):
@@ -274,9 +238,13 @@ def _int_field(field: str) -> int:
     """int(field), reading a zero-padded field as its value.
 
     int() counts padding against Python's 4300-digit limit and numpy's
-    reader does not, so the padding goes first; a value that itself has
-    more digits is still rejected.
+    reader does not, so a field longer than the limit loses its padding
+    first; a value that itself has more digits is still rejected.  The
+    regex runs only on such fields: on every field it triples the cost
+    of a per-line parse.
     """
+    if len(field) <= sys.get_int_max_str_digits():
+        return int(field)
     return int(_LEADING_ZEROS.sub(r"\1", field))
 
 
@@ -349,7 +317,7 @@ def _parse_samples(lines, k_override) -> np.ndarray:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("MINIFUNC_SEED")
     if env is None:
@@ -365,9 +333,8 @@ def _num_or_null(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _cmd_estimate(args) -> dict:
+def _cmd_estimate(args) -> tuple[dict, dict]:
     phi, phi_doc = parse_phi(args.phi)
-    seed = _resolve_seed(args)
     counts, kind = read_counts(args.input, args.k)
     total = int(counts.sum())  # exact: read_counts keeps it below 2**63
     if args.model == "multinomial":
@@ -382,14 +349,14 @@ def _cmd_estimate(args) -> dict:
         n = args.n
     h = Histogram(counts=counts, n_nominal=n, model=args.model)
 
-    alpha = phi.alpha if phi.alpha is not None else 1.0
+    alpha = phi.alpha
     order = args.order if args.order is not None else default_correction_order(alpha)
     warnings: list[str] = []
     if (args.c1 is None) != (args.c2 is None):
         raise ConfigurationError("--c1 and --c2 must be given together")
     if args.c1 is not None:
         preset = "explicit"
-        cfg = EstimatorConfig(c1=args.c1, c2=args.c2, correction_order=order, rng_seed=seed)
+        cfg = EstimatorConfig(c1=args.c1, c2=args.c2, correction_order=order, rng_seed=args.seed)
         violations = validate_config(cfg, alpha)
         if violations and not args.allow_unvalidated:
             raise ConfigurationError(
@@ -399,15 +366,15 @@ def _cmd_estimate(args) -> dict:
         warnings.extend(f"admissibility: {v}" for v in violations)
     elif args.preset == "tuned":
         preset = "tuned"
-        cfg = tuned_config(alpha, correction_order=order, rng_seed=seed)
+        cfg = tuned_config(alpha, correction_order=order, rng_seed=args.seed)
         warnings.extend(f"admissibility: {v}" for v in validate_config(cfg, alpha))
     else:
         preset = "default"
-        cfg = default_config(alpha, correction_order=order, rng_seed=seed)
+        cfg = default_config(alpha, correction_order=order, rng_seed=args.seed)
 
     estimator = args.estimator or recommended_estimator(alpha)
     if estimator == "composite":
-        res = composite_estimate(h, phi, cfg, rng=np.random.default_rng(seed))
+        res = composite_estimate(h, phi, cfg, rng=np.random.default_rng(args.seed))
         estimate = res.estimate
         branch_counts = dict(res.branch_counts)
         warnings.extend(res.warnings)
@@ -425,25 +392,19 @@ def _cmd_estimate(args) -> dict:
         branch_counts = {"plugin": h.k, "poly": 0}
         extras = {"n_effective": None, "degree": None, "threshold": None, "poly_interval": None}
 
-    rc = RunConfig(
-        command="estimate",
-        params={
-            "phi": phi_doc,
-            "n": n,
-            "k": int(h.k),
-            "model": args.model,
-            "input_kind": kind,
-            "estimator": estimator,
-            "c1": cfg.c1,
-            "c2": cfg.c2,
-            "correction_order": cfg.correction_order,
-            "preset": preset,
-        },
-        master_seed=seed,
-    )
-    return {
-        "command": "estimate",
-        "config": rc.as_embedded(),
+    params = {
+        "phi": phi_doc,
+        "n": n,
+        "k": int(h.k),
+        "model": args.model,
+        "input_kind": kind,
+        "estimator": estimator,
+        "c1": cfg.c1,
+        "c2": cfg.c2,
+        "correction_order": cfg.correction_order,
+        "preset": preset,
+    }
+    return params, {
         "estimate": estimate,
         "branch_counts": branch_counts,
         "warnings": warnings,
@@ -451,19 +412,11 @@ def _cmd_estimate(args) -> dict:
     }
 
 
-def _cmd_approx(args) -> dict:
+def _cmd_approx(args) -> tuple[dict, dict]:
     phi, phi_doc = parse_phi(args.phi)
-    seed = _resolve_seed(args)
     interval = _parse_interval(args.interval)
     result = remez_best_approx(phi.eval, args.L, interval)
-    rc = RunConfig(
-        command="approx",
-        params={"phi": phi_doc, "L": args.L, "interval": list(interval)},
-        master_seed=seed,
-    )
-    return {
-        "command": "approx",
-        "config": rc.as_embedded(),
+    return {"phi": phi_doc, "L": args.L, "interval": list(interval)}, {
         "sup_error": result.sup_error,
         "coefficients": [float(c) for c in result.poly.coeffs],
         "alternation_points": [float(x) for x in result.alternation_points],
@@ -472,18 +425,10 @@ def _cmd_approx(args) -> dict:
     }
 
 
-def _cmd_check_speed(args) -> dict:
+def _cmd_check_speed(args) -> tuple[dict, dict]:
     phi, phi_doc = parse_phi(args.phi)
-    seed = _resolve_seed(args)
     report = check_divergence_speed(phi, args.ell, alpha=args.alpha)
-    rc = RunConfig(
-        command="check-speed",
-        params={"phi": phi_doc, "ell": args.ell, "alpha": report.alpha},
-        master_seed=seed,
-    )
-    return {
-        "command": "check-speed",
-        "config": rc.as_embedded(),
+    return {"phi": phi_doc, "ell": args.ell, "alpha": report.alpha}, {
         "holds": report.holds,
         "W": report.W,
         "c": report.c,
@@ -493,9 +438,8 @@ def _cmd_check_speed(args) -> dict:
     }
 
 
-def _cmd_lower_bound(args) -> dict:
+def _cmd_lower_bound(args) -> tuple[dict, dict]:
     phi, phi_doc = parse_phi(args.phi)
-    seed = _resolve_seed(args)
     params = {
         "phi": phi_doc,
         "k": args.k,
@@ -524,10 +468,11 @@ def _cmd_lower_bound(args) -> dict:
             bound = hellinger_le_cam_bound(pair.P, pair.Q, phi, args.n)
             terms = {"theta_gap": pair.theta_gap, "hellinger_sq": h2}
     else:
-        if phi.alpha is None:
-            raise ConfigurationError("composite construction needs a phi with an exponent")
         if args.gap is None:
             raise ConfigurationError("composite construction needs --gap (the separation to certify)")
+        # the default lam and degree take logs and roots of n and k
+        if args.k < 1 or args.n < 1:
+            raise ConfigurationError(f"need k >= 1 and n >= 1, got k={args.k}, n={args.n}")
         lam = args.lam if args.lam is not None else min(
             0.05 * args.k * math.log(args.n) / args.n, math.sqrt(args.k) / 12.0
         )
@@ -545,10 +490,7 @@ def _cmd_lower_bound(args) -> dict:
             "e_l": _num_or_null(res.e_l),
             "gamma": _num_or_null(res.gamma) if res.gamma is not None else None,
         }
-    rc = RunConfig(command="lower-bound", params=params, master_seed=seed)
-    return {
-        "command": "lower-bound",
-        "config": rc.as_embedded(),
+    return params, {
         "construction": args.construction,
         "bound_value": bound,
         "terms": terms,
@@ -556,9 +498,8 @@ def _cmd_lower_bound(args) -> dict:
     }
 
 
-def _cmd_priors(args) -> dict:
+def _cmd_priors(args) -> tuple[dict, dict]:
     phi, phi_doc = parse_phi(args.phi)
-    seed = _resolve_seed(args)
     if args.gamma is not None:
         eta = args.eta if args.eta is not None else args.gamma
         pair = tilted_pair(phi, args.L, args.gamma, eta)
@@ -572,20 +513,14 @@ def _cmd_priors(args) -> dict:
         lines.append(f"{float(x)!r},{float(w0)!r},{float(w1)!r}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    rc = RunConfig(
-        command="priors",
-        params={
-            "phi": phi_doc,
-            "L": args.L,
-            "interval": list(interval) if interval is not None else None,
-            "gamma": args.gamma,
-            "eta": eta,
-        },
-        master_seed=seed,
-    )
-    return {
-        "command": "priors",
-        "config": rc.as_embedded(),
+    params = {
+        "phi": phi_doc,
+        "L": args.L,
+        "interval": list(interval) if interval is not None else None,
+        "gamma": args.gamma,
+        "eta": eta,
+    }
+    return params, {
         "gap": pair.gap,
         "expected_gap": _num_or_null(pair.expected_gap),
         "matched_orders": pair.matched_orders,
@@ -595,12 +530,11 @@ def _cmd_priors(args) -> dict:
     }
 
 
-def _cmd_risk_sweep(args) -> dict:
+def _cmd_risk_sweep(args) -> tuple[dict, dict]:
     if args.phi is not None:
         phi, phi_doc = parse_phi(args.phi)
     else:
         phi, phi_doc = power_functional(args.alpha), {"kind": "power", "alpha": args.alpha}
-    seed = _resolve_seed(args)
     n_grid = _parse_int_list(args.n_grid, "--n-grid")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     result = rate_sweep(
@@ -611,30 +545,24 @@ def _cmd_risk_sweep(args) -> dict:
         k_rule=args.k_rule,
         reps=args.reps,
         param=args.param,
-        master_seed=seed,
+        master_seed=args.seed,
         model=args.model,
         jobs=args.jobs,
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(result.to_csv())
-    rc = RunConfig(
-        command="risk-sweep",
-        params={
-            "family": args.family,
-            "param": args.param,
-            "phi": phi_doc,
-            "n_grid": sorted(n_grid),
-            "k_rule": args.k_rule,
-            "reps": args.reps,
-            "estimators": estimators,
-            "model": args.model,
-            "jobs": args.jobs,
-        },
-        master_seed=seed,
-    )
-    return {
-        "command": "risk-sweep",
-        "config": rc.as_embedded(),
+    params = {
+        "family": args.family,
+        "param": args.param,
+        "phi": phi_doc,
+        "n_grid": sorted(n_grid),
+        "k_rule": args.k_rule,
+        "reps": args.reps,
+        "estimators": estimators,
+        "model": args.model,
+        "jobs": args.jobs,
+    }
+    return params, {
         "out": args.out,
         "slopes": {est: _num_or_null(s) for est, s in result.slopes.items()},
         "theory_slope": _num_or_null(result.theory_slope),
@@ -726,7 +654,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.handler(args)
+        # every handler sees the resolved seed; a bad MINIFUNC_SEED exits 3
+        args.seed = _resolve_seed(args)
+        params, body = args.handler(args)
     except InputFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -736,6 +666,7 @@ def main(argv=None) -> int:
     except MinifuncError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    doc = {"command": args.command, "config": dict(params, seed=args.seed), **body}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

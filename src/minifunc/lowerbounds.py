@@ -19,10 +19,11 @@ from .errors import ConfigurationError, NumericalError, SupportError
 from .functionals import (
     Functional,
     ProbabilityVector,
+    _as_callable,
     additive_functional,
     as_prob_array,
 )
-from .polyapprox import _as_callable, remez_best_approx
+from .polyapprox import remez_best_approx
 
 __all__ = [
     "divergence",
@@ -255,6 +256,11 @@ def moment_matched_pair(f, L: int, interval) -> MeasurePair:
     return pair
 
 
+def _over_x(fn):
+    """x -> fn(x) / x, the target of the tilted constructions."""
+    return lambda x: np.asarray(fn(x), dtype=float) / np.asarray(x, dtype=float)
+
+
 def tilted_pair(phi, L: int, gamma: float, eta: float) -> MeasurePair:
     """Measure pair with both first moments pinned at gamma.
 
@@ -272,11 +278,7 @@ def tilted_pair(phi, L: int, gamma: float, eta: float) -> MeasurePair:
     f0 = float(fn(0.0))
     if not abs(f0) <= 1e-12:
         raise ConfigurationError(f"tilted construction needs f(0) = 0, got {f0!r}")
-
-    def fstar(x):
-        return np.asarray(fn(x), dtype=float) / np.asarray(x, dtype=float)
-
-    base = moment_matched_pair(fstar, L, (gamma, gamma / eta))
+    base = moment_matched_pair(_over_x(fn), L, (gamma, gamma / eta))
     tilt = gamma / base.support
     w0 = base.w0 * tilt
     w1 = base.w1 * tilt
@@ -363,13 +365,12 @@ class CompositeBoundResult:
 
 
 def composite_lower_bound(
-    phi,
+    phi: Functional,
     n: int,
     k: int,
     lam: float,
     L: int,
     d: float,
-    alpha: float | None = None,
     W: float = None,
     Wprime: float = None,
 ) -> CompositeBoundResult:
@@ -380,19 +381,18 @@ def composite_lower_bound(
     with gamma = lam/(2 L^2 k) and 2k gamma E_L(f(x)/x, [gamma, lam/k])
     >= d.  W and Wprime scale the correction terms and are calibration
     inputs; fitted_bound_constants gives a documented estimate.  The
-    correction branch is chosen by alpha (< 1, = 1, in (1,2)).
+    correction branch is chosen by phi.alpha (< 1, = 1, in (1,2)).
     """
-    fn = _as_callable(phi)
-    if alpha is None:
-        alpha = getattr(phi, "alpha", None)
-        if alpha is None:
-            raise ConfigurationError("alpha is required when phi does not carry one")
+    fn = phi.eval
+    alpha = phi.alpha
     if W is None or Wprime is None:
         raise ConfigurationError(
             "W and Wprime are calibration inputs; use fitted_bound_constants(phi, alpha)"
         )
     if not 0.0 < alpha < 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha!r}")
+    if k < 1 or n < 1:
+        raise ConfigurationError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     if L < 1 or lam <= 0 or d < 0:
         raise ConfigurationError("need L >= 1, lam > 0, d >= 0")
 
@@ -413,11 +413,7 @@ def composite_lower_bound(
         if lam <= math.sqrt(k) / 12.0:
             g = lam / (2.0 * L**2 * k)
             if 0.0 < g < lam / k and g < 1.0:
-
-                def fstar(x):
-                    return np.asarray(fn(x), dtype=float) / np.asarray(x, dtype=float)
-
-                approx = remez_best_approx(fstar, L, (g, lam / k))
+                approx = remez_best_approx(_over_x(fn), L, (g, lam / k))
                 e_l = approx.sup_error
                 lhs = 2.0 * k * g * e_l
                 checks.append(f"condition 2: 2k gamma E_L = {lhs:.6g} vs d = {d:.6g}")
@@ -461,22 +457,19 @@ def composite_lower_bound(
     )
 
 
-def hoelder_norm(f, beta: float, interval=(0.0, 1.0), grid_points: int = 768) -> float:
-    """Grid estimate of sup |f(x)-f(y)| / |x-y|^beta over the interval.
+def hoelder_norm(f, beta: float) -> float:
+    """Grid estimate of sup |f(x)-f(y)| / |x-y|^beta over [0, 1].
 
-    The grid mixes Chebyshev spacing with a geometric cluster at the left
-    end, where the built-in functionals have their roughness.
+    The 768-point grid mixes Chebyshev spacing with a 384-point geometric
+    cluster at the left end, where the built-in functionals have their
+    roughness.
     """
     fn = _as_callable(f)
     if not 0.0 < beta <= 1.0:
         raise ConfigurationError(f"beta must lie in (0, 1], got {beta!r}")
-    lo, hi = float(interval[0]), float(interval[1])
-    span = hi - lo
-    t = np.arange(grid_points)
-    u_cheb = 0.5 * (1.0 - np.cos(np.pi * t / (grid_points - 1)))
-    u_geom = np.geomspace(1e-14, 1.0, grid_points // 2)
-    u = np.unique(np.concatenate([[0.0], u_cheb, u_geom]))
-    x = lo + span * u
+    u_cheb = 0.5 * (1.0 - np.cos(np.pi * np.arange(768) / 767))
+    u_geom = np.geomspace(1e-14, 1.0, 384)
+    x = np.unique(np.concatenate([[0.0], u_cheb, u_geom]))
     fx = np.asarray(fn(x), dtype=float)
     dx = np.abs(x[:, None] - x[None, :])
     df = np.abs(fx[:, None] - fx[None, :])
@@ -485,22 +478,22 @@ def hoelder_norm(f, beta: float, interval=(0.0, 1.0), grid_points: int = 768) ->
     return float(np.nanmax(ratio))
 
 
-def log_speed_constants(phi: Functional, ell: int = 1, grid_points: int = 4096):
-    """Fit |phi^(ell)(p)| between W ln(1/p) - c' and W ln(1/p) + c.
+def log_speed_constants(phi: Functional):
+    """Fit |phi'(p)| between W ln(1/p) - c' and W ln(1/p) + c.
 
-    Returns (W, c): W is the median ratio |phi^(ell)|/ln(1/p) over the
-    32 smallest grid points and c the largest positive excess over the
-    fitted envelope.
+    Returns (W, c): W is the median ratio |phi'|/ln(1/p) over the 32
+    smallest of 4096 geometric points in [1e-12, 0.999999] and c the
+    largest positive excess over the fitted envelope.
     """
-    p = np.geomspace(1e-12, 0.999999, grid_points)
-    vals = np.abs(np.asarray(phi.deriv(ell, p), dtype=float))
+    p = np.geomspace(1e-12, 0.999999, 4096)
+    vals = np.abs(np.asarray(phi.deriv(1, p), dtype=float))
     logs = np.log(1.0 / p)
     W = float(np.median(vals[:32] / logs[:32]))
     c = float(max(0.0, np.max(vals - W * logs)))
     return W, c
 
 
-def fitted_bound_constants(phi: Functional, alpha: float | None = None, grid_points: int = 768):
+def fitted_bound_constants(phi: Functional, alpha: float | None = None):
     """Documented recipe for the composite bound's W and Wprime.
 
     alpha < 1: twice the squared alpha-Hoelder norm of phi on [0,1].
@@ -513,10 +506,10 @@ def fitted_bound_constants(phi: Functional, alpha: float | None = None, grid_poi
     if not 0.0 < alpha < 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha!r}")
     if alpha == 1.0:
-        W1, c1 = log_speed_constants(phi, 1)
+        W1, c1 = log_speed_constants(phi)
         W = 2.0 * (W1 + c1) ** 2
     else:
-        h = hoelder_norm(phi, min(alpha, 1.0), grid_points=grid_points)
+        h = hoelder_norm(phi, min(alpha, 1.0))
         W = 2.0 * h * h
     return W, W
 

@@ -27,19 +27,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import ConfigurationError, NumericalError
-from .functionals import Functional, _golden_max
+from .functionals import _as_callable, _golden_max
 
 __all__ = [
     "Polynomial",
     "ApproxResult",
     "remez_best_approx",
 ]
+
+# exchange loop limits; see the module docstring
+_MAX_EXCHANGES = 100
+_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -55,17 +59,6 @@ class Polynomial:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for c in self.coeffs[::-1]:
-            out = out * x + c
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -96,17 +89,7 @@ class ApproxResult:
         object.__setattr__(self, "alternation_residuals", res)
 
 
-def _as_callable(f) -> Callable:
-    return f.eval if isinstance(f, Functional) else f
-
-
-def remez_best_approx(
-    f,
-    L: int,
-    interval,
-    max_iter: int = 100,
-    rel_tol: float = 1e-10,
-) -> ApproxResult:
+def remez_best_approx(f, L: int, interval) -> ApproxResult:
     """Best uniform degree-L approximation of f on [lo, hi].
 
     See the module docstring for the exchange loop.  A result with
@@ -144,7 +127,7 @@ def remez_best_approx(
     iterations = 0
     sup_error = math.inf
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_EXCHANGES + 1):
         V = _cheb.chebvander(ref, L)
         A = np.hstack([V, signs[:, None]])
         y = ft(ref)
@@ -194,7 +177,7 @@ def remez_best_approx(
         if maxres <= 1e-13 * scale:
             converged = True
             break
-        if minres > 0.0 and maxres / minres - 1.0 < rel_tol:
+        if minres > 0.0 and maxres / minres - 1.0 < _REL_TOL:
             converged = True
             break
 

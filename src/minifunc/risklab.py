@@ -162,11 +162,6 @@ def _dispatch(estimator: str, h, phi: Functional, cfg: EstimatorConfig, rng) -> 
     return composite_estimate(h, phi, cfg, rng=rng).estimate
 
 
-def _default_cfg(phi: Functional) -> EstimatorConfig:
-    alpha = phi.alpha if phi.alpha is not None else 1.0
-    return tuned_config(alpha)
-
-
 def _jackknife_ses(estimates: np.ndarray, theta: float) -> tuple[float, float, float]:
     R = estimates.size
     if R < 2:
@@ -194,16 +189,16 @@ def monte_carlo_risk(
     reps: int = 1000,
     master_seed: int = 0,
     model: str = "multinomial",
-    cfg: EstimatorConfig | None = None,
     jobs: int = 1,
 ) -> RiskReport:
     """Estimate E[(theta_hat - theta)^2] at one distribution by simulation.
 
     Each rep draws a fresh histogram and runs the named estimator
-    ('plugin', 'corrected', or 'composite'); rep r is seeded from
-    (master_seed, n, k, estimator index, r), so a longer run extends a
-    shorter one sample-for-sample and the worker count never changes
-    the output.  Estimator failures are re-raised with the rep index.
+    ('plugin', 'corrected', or 'composite') with tuned_config(phi.alpha)
+    constants; rep r is seeded from (master_seed, n, k, estimator index,
+    r), so a longer run extends a shorter one sample-for-sample and the
+    worker count never changes the output.  Estimator failures are
+    re-raised with the rep index.
     """
     if estimator not in ESTIMATORS:
         raise ConfigurationError(
@@ -217,7 +212,7 @@ def monte_carlo_risk(
         raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    cfg = cfg if cfg is not None else _default_cfg(phi)
+    cfg = tuned_config(phi.alpha)
     est_idx = ESTIMATORS.index(estimator)
 
     dist_rng = np.random.default_rng(
@@ -372,14 +367,13 @@ def rate_sweep(
     param: float | None = None,
     master_seed: int = 0,
     model: str = "multinomial",
-    cfg: EstimatorConfig | None = None,
     jobs: int = 1,
 ) -> SweepResult:
     """Monte Carlo risk across an n-grid with k tied to n by k_rule.
 
     Requires at least 4 grid points spanning a decade so the log-log
-    slope fit means something.  The theory column uses phi's exponent
-    when it has one and NaN otherwise.
+    slope fit means something.  The theory column is theoretical_rate at
+    phi.alpha.
     """
     ns = sorted(int(n) for n in n_grid)
     if len(ns) < 4:
@@ -412,13 +406,8 @@ def rate_sweep(
                 reps=reps,
                 master_seed=master_seed,
                 model=model,
-                cfg=cfg,
                 jobs=jobs,
             )
-            if phi.alpha is not None:
-                theory = theoretical_rate(phi.alpha, n, k)
-            else:
-                theory = math.nan
             rows.append(
                 SweepRow(
                     family=spec.label,
@@ -429,7 +418,7 @@ def rate_sweep(
                     var=report.variance,
                     mse=report.mse,
                     se=report.se_mse,
-                    theory_rate=theory,
+                    theory_rate=theoretical_rate(phi.alpha, n, k),
                 )
             )
             reports.append(report)

@@ -20,7 +20,6 @@ import pytest
 
 import minifunc
 from minifunc.cli import (
-    RunConfig,
     _read_lines,
     _read_table,
     main,
@@ -571,6 +570,21 @@ class TestLowerBoundCommand:
         assert code == 3
         assert "--gap" in err
 
+    @pytest.mark.parametrize(
+        "k, n, extra",
+        [("100", "0", []), ("-4", "1000", []), ("0", "1000", ["--lam", "0.01"])],
+        ids=["n-zero", "k-negative", "k-zero-explicit-lam"],
+    )
+    def test_composite_rejects_bad_k_n(self, capsys, k, n, extra):
+        # the default lam and degree take log(n) and sqrt(k); the bound divides by k
+        code, _, err = run_cli(
+            ["lower-bound", "--phi", "shannon", "--k", k, "--n", n,
+             "--construction", "composite", "--gap", "1e-6", *extra],
+            capsys,
+        )
+        assert code == 3
+        assert "k >= 1 and n >= 1" in err
+
 
 class TestPriorsCommand:
     def test_moment_pair_csv(self, tmp_path, capsys):
@@ -676,20 +690,6 @@ class TestRiskSweepCommand:
                 "--out", str(tmp_path / "s.csv"),
             ])
         capsys.readouterr()
-
-
-class TestRunConfig:
-    def test_round_trip(self):
-        rc = RunConfig(
-            command="estimate",
-            params={"phi": {"kind": "power", "alpha": 0.5}, "n": 100},
-            master_seed=11,
-        )
-        assert RunConfig.from_json(rc.to_json()) == rc
-
-    def test_embedded_includes_seed(self):
-        rc = RunConfig(command="approx", params={"L": 4}, master_seed=2)
-        assert rc.as_embedded() == {"L": 4, "seed": 2}
 
 
 # Run in a fresh interpreter so that modules pytest or other tests loaded do

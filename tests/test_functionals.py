@@ -87,10 +87,6 @@ class TestProbabilityVector:
         with pytest.raises(ConfigurationError, match="sum"):
             ProbabilityVector([0.5, 0.4])
 
-    def test_tolerance_slack(self):
-        P = ProbabilityVector([0.5, 0.49], tolerance=0.02)
-        assert P.k == 2
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigurationError, match="finite"):
             ProbabilityVector([0.5, math.nan])
@@ -121,8 +117,8 @@ class TestAdditiveFunctional:
         probs = np.array(raw) / math.fsum(raw)
         shuffled = list(probs)
         rnd.shuffle(shuffled)
-        a = additive_functional(ProbabilityVector(probs, tolerance=1e-9), SH)
-        b = additive_functional(ProbabilityVector(shuffled, tolerance=1e-9), SH)
+        a = additive_functional(ProbabilityVector(probs), SH)
+        b = additive_functional(ProbabilityVector(shuffled), SH)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_centered_linear_shift_invariance(self):
@@ -142,7 +138,7 @@ class TestAdditiveFunctional:
         rng = np.random.default_rng(3)
         for _ in range(5):
             probs = rng.dirichlet(np.ones(k))
-            P = ProbabilityVector(probs, tolerance=1e-9)
+            P = ProbabilityVector(probs)
             assert additive_functional(P, phi_c) == pytest.approx(
                 additive_functional(P, SH), abs=1e-12
             )
@@ -270,14 +266,6 @@ class TestDivergenceSpeed:
             tol = max(1e-9, 1e-12 * peak)
             assert r.holds
             assert r.c <= tol and r.c_prime <= tol
-
-    def test_grid_validation(self):
-        with pytest.raises(ConfigurationError, match="1000"):
-            check_divergence_speed(SH, 2, grid=np.linspace(0.01, 0.99, 100))
-        with pytest.raises(ConfigurationError, match="inside"):
-            check_divergence_speed(SH, 2, grid=np.linspace(0.0, 0.5, 2000))
-        with pytest.raises(ConfigurationError, match="1e-8"):
-            check_divergence_speed(SH, 2, grid=np.linspace(0.01, 0.99, 2000))
 
 
 class TestRangeOnInterval:

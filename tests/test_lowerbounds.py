@@ -421,13 +421,13 @@ def _scipy_mixture_tv(pair, n, k, trunc):
 class TestCompositeLowerBound:
     def test_zero_gap_nonpositive(self):
         res = composite_lower_bound(
-            SH, 10**6, 100, 1.0 / 24.0, 3, 0.0, alpha=1.0, W=8.0, Wprime=8.0
+            SH, 10**6, 100, 1.0 / 24.0, 3, 0.0, W=8.0, Wprime=8.0
         )
         assert res.bound <= 0.0
 
     def test_condition_one_path(self):
         res = composite_lower_bound(
-            SH, 10**6, 100, 1.0 / 24.0, 3, 1e-4, alpha=1.0, W=8.0, Wprime=8.0
+            SH, 10**6, 100, 1.0 / 24.0, 3, 1e-4, W=8.0, Wprime=8.0
         )
         assert res.condition == 1
         assert res.e_l == pytest.approx(1.0146074009532383e-05, rel=1e-9)
@@ -440,7 +440,7 @@ class TestCompositeLowerBound:
         n = k = 10**4
         lam = 0.05 * k * math.log(n) / n
         L = math.ceil(2.0 * math.log(n))
-        res = composite_lower_bound(SH, n, k, lam, L, 7e-5, alpha=1.0, W=8.0, Wprime=8.0)
+        res = composite_lower_bound(SH, n, k, lam, L, 7e-5, W=8.0, Wprime=8.0)
         assert res.condition == 2
         assert res.gamma == pytest.approx(6.378352058155251e-08, rel=1e-9)
         assert res.terms["tv_term"] == pytest.approx(1.8902300303370275e-13, rel=1e-6)
@@ -448,11 +448,11 @@ class TestCompositeLowerBound:
 
     def test_neither_condition_raises(self):
         with pytest.raises(ConfigurationError, match="side condition"):
-            composite_lower_bound(SH, 100, 4, 10.0, 3, 100.0, alpha=1.0, W=8.0, Wprime=8.0)
+            composite_lower_bound(SH, 100, 4, 10.0, 3, 100.0, W=8.0, Wprime=8.0)
 
     def test_alpha_branches(self):
         pw = power_functional(0.5)
-        r = composite_lower_bound(pw, 10**6, 100, 1.0 / 24.0, 3, 1e-4, alpha=0.5, W=2.0, Wprime=2.0)
+        r = composite_lower_bound(pw, 10**6, 100, 1.0 / 24.0, 3, 1e-4, W=2.0, Wprime=2.0)
         assert set(r.terms) == {
             "main", "tv_term", "mass_shift", "concentration", "normalization",
             "total_correction",
@@ -462,7 +462,7 @@ class TestCompositeLowerBound:
         assert "renormalization" in r1.terms
         pw14 = power_functional(1.4)
         r14 = composite_lower_bound(
-            pw14, 10**6, 100, 1.0 / 24.0, 3, 1e-5, alpha=1.4, W=3.9, Wprime=3.9
+            pw14, 10**6, 100, 1.0 / 24.0, 3, 1e-5, W=3.9, Wprime=3.9
         )
         assert r14.condition == 1
         assert r14.terms["normalization"] == pytest.approx(
@@ -471,7 +471,7 @@ class TestCompositeLowerBound:
 
     def test_terms_sum_to_bound(self):
         res = composite_lower_bound(
-            SH, 10**6, 100, 1.0 / 24.0, 3, 1e-4, alpha=1.0, W=8.0, Wprime=8.0
+            SH, 10**6, 100, 1.0 / 24.0, 3, 1e-4, W=8.0, Wprime=8.0
         )
         assert res.bound == pytest.approx(
             res.terms["main"] - res.terms["total_correction"], rel=1e-12
@@ -479,11 +479,18 @@ class TestCompositeLowerBound:
 
     def test_requires_constants(self):
         with pytest.raises(ConfigurationError, match="fitted_bound_constants"):
-            composite_lower_bound(SH, 100, 10, 0.05, 3, 1e-4, alpha=1.0)
+            composite_lower_bound(SH, 100, 10, 0.05, 3, 1e-4)
+
+    @pytest.mark.parametrize("n, k", [(1000, 0), (0, 100)])
+    def test_rejects_bad_k_n(self, n, k):
+        with pytest.raises(ConfigurationError, match="k >= 1 and n >= 1"):
+            composite_lower_bound(SH, n, k, 0.01, 3, 1e-6, W=1.0, Wprime=1.0)
 
     def test_alpha_range(self):
         with pytest.raises(ConfigurationError, match="alpha"):
-            composite_lower_bound(SH, 100, 10, 0.05, 3, 1e-4, alpha=2.5, W=1.0, Wprime=1.0)
+            composite_lower_bound(
+                power_functional(2.5), 100, 10, 0.05, 3, 1e-4, W=1.0, Wprime=1.0
+            )
 
 
 class TestFittedConstants:
@@ -495,7 +502,7 @@ class TestFittedConstants:
             hoelder_norm(SH, 0.0)
 
     def test_log_speed_shannon(self):
-        W1, c1 = log_speed_constants(SH, 1)
+        W1, c1 = log_speed_constants(SH)
         assert W1 == pytest.approx(0.9636712846781708, rel=1e-9)
         assert c1 == pytest.approx(0.9999980363277334, rel=1e-9)
 
