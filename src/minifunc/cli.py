@@ -30,14 +30,13 @@ from .errors import (
     MinifuncError,
 )
 from .estimators import (
+    ESTIMATORS,
     EstimatorConfig,
     Histogram,
-    composite_estimate,
-    corrected_plugin_estimate,
     default_config,
     default_correction_order,
-    plain_plugin_estimate,
     recommended_estimator,
+    run_estimator,
     tuned_config,
     validate_config,
 )
@@ -53,7 +52,7 @@ from .lowerbounds import (
     tilted_pair,
 )
 from .polyapprox import remez_best_approx
-from .risklab import ESTIMATORS, rate_sweep
+from .risklab import rate_sweep
 
 __all__ = ["main", "parse_phi", "read_counts", "schema_path"]
 
@@ -86,7 +85,12 @@ def parse_phi(text: str) -> tuple[Functional, dict]:
         if kind == "power":
             if "alpha" not in doc:
                 raise InputFormatError("power phi needs an alpha field")
-            alpha = float(doc["alpha"])
+            try:
+                alpha = float(doc["alpha"])
+            except (TypeError, ValueError):
+                raise InputFormatError(
+                    f"power phi alpha must be a number, got {doc['alpha']!r}"
+                ) from None
             return power_functional(alpha), {"kind": "power", "alpha": alpha}
         raise InputFormatError(f"unknown phi kind {kind!r}")
     raise InputFormatError(
@@ -333,8 +337,7 @@ def _num_or_null(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _cmd_estimate(args) -> tuple[dict, dict]:
-    phi, phi_doc = parse_phi(args.phi)
+def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
     counts, kind = read_counts(args.input, args.k)
     total = int(counts.sum())  # exact: read_counts keeps it below 2**63
     if args.model == "multinomial":
@@ -348,6 +351,9 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
             raise ConfigurationError("poissonized model needs --n (the nominal rate scale)")
         n = args.n
     h = Histogram(counts=counts, n_nominal=n, model=args.model)
+    # after Histogram, which rejects a negative n with its own message
+    if args.model == "poissonized" and n < 1:
+        raise ConfigurationError(f"poissonized model needs --n >= 1, got {n}")
 
     alpha = phi.alpha
     order = args.order if args.order is not None else default_correction_order(alpha)
@@ -373,27 +379,11 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         cfg = default_config(alpha, correction_order=order, rng_seed=args.seed)
 
     estimator = args.estimator or recommended_estimator(alpha)
-    if estimator == "composite":
-        res = composite_estimate(h, phi, cfg, rng=np.random.default_rng(args.seed))
-        estimate = res.estimate
-        branch_counts = dict(res.branch_counts)
-        warnings.extend(res.warnings)
-        extras = {
-            "n_effective": res.n_effective,
-            "degree": res.degree,
-            "threshold": res.threshold,
-            "poly_interval": list(res.poly_interval),
-        }
-    else:
-        if estimator == "corrected":
-            estimate = corrected_plugin_estimate(h, phi, cfg)
-        else:
-            estimate = plain_plugin_estimate(h, phi)
-        branch_counts = {"plugin": h.k, "poly": 0}
-        extras = {"n_effective": None, "degree": None, "threshold": None, "poly_interval": None}
+    # no rng: the composite seeds its split from cfg.rng_seed, the resolved seed
+    res = run_estimator(estimator, h, phi, cfg)
+    warnings.extend(res.warnings)
 
     params = {
-        "phi": phi_doc,
         "n": n,
         "k": int(h.k),
         "model": args.model,
@@ -405,18 +395,20 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         "preset": preset,
     }
     return params, {
-        "estimate": estimate,
-        "branch_counts": branch_counts,
+        "estimate": res.estimate,
+        "branch_counts": res.branch_counts,
         "warnings": warnings,
-        **extras,
+        "n_effective": res.n_effective,
+        "degree": res.degree,
+        "threshold": res.threshold,
+        "poly_interval": res.poly_interval,
     }
 
 
-def _cmd_approx(args) -> tuple[dict, dict]:
-    phi, phi_doc = parse_phi(args.phi)
+def _cmd_approx(args, phi: Functional) -> tuple[dict, dict]:
     interval = _parse_interval(args.interval)
     result = remez_best_approx(phi.eval, args.L, interval)
-    return {"phi": phi_doc, "L": args.L, "interval": list(interval)}, {
+    return {"L": args.L, "interval": list(interval)}, {
         "sup_error": result.sup_error,
         "coefficients": [float(c) for c in result.poly.coeffs],
         "alternation_points": [float(x) for x in result.alternation_points],
@@ -425,10 +417,9 @@ def _cmd_approx(args) -> tuple[dict, dict]:
     }
 
 
-def _cmd_check_speed(args) -> tuple[dict, dict]:
-    phi, phi_doc = parse_phi(args.phi)
+def _cmd_check_speed(args, phi: Functional) -> tuple[dict, dict]:
     report = check_divergence_speed(phi, args.ell, alpha=args.alpha)
-    return {"phi": phi_doc, "ell": args.ell, "alpha": report.alpha}, {
+    return {"ell": args.ell, "alpha": report.alpha}, {
         "holds": report.holds,
         "W": report.W,
         "c": report.c,
@@ -438,10 +429,8 @@ def _cmd_check_speed(args) -> tuple[dict, dict]:
     }
 
 
-def _cmd_lower_bound(args) -> tuple[dict, dict]:
-    phi, phi_doc = parse_phi(args.phi)
+def _cmd_lower_bound(args, phi: Functional) -> tuple[dict, dict]:
     params = {
-        "phi": phi_doc,
         "k": args.k,
         "n": args.n,
         "construction": args.construction,
@@ -498,8 +487,7 @@ def _cmd_lower_bound(args) -> tuple[dict, dict]:
     }
 
 
-def _cmd_priors(args) -> tuple[dict, dict]:
-    phi, phi_doc = parse_phi(args.phi)
+def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
     if args.gamma is not None:
         eta = args.eta if args.eta is not None else args.gamma
         pair = tilted_pair(phi, args.L, args.gamma, eta)
@@ -514,7 +502,6 @@ def _cmd_priors(args) -> tuple[dict, dict]:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     params = {
-        "phi": phi_doc,
         "L": args.L,
         "interval": list(interval) if interval is not None else None,
         "gamma": args.gamma,
@@ -530,11 +517,7 @@ def _cmd_priors(args) -> tuple[dict, dict]:
     }
 
 
-def _cmd_risk_sweep(args) -> tuple[dict, dict]:
-    if args.phi is not None:
-        phi, phi_doc = parse_phi(args.phi)
-    else:
-        phi, phi_doc = power_functional(args.alpha), {"kind": "power", "alpha": args.alpha}
+def _cmd_risk_sweep(args, phi: Functional) -> tuple[dict, dict]:
     n_grid = _parse_int_list(args.n_grid, "--n-grid")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     result = rate_sweep(
@@ -554,7 +537,6 @@ def _cmd_risk_sweep(args) -> tuple[dict, dict]:
     params = {
         "family": args.family,
         "param": args.param,
-        "phi": phi_doc,
         "n_grid": sorted(n_grid),
         "k_rule": args.k_rule,
         "reps": args.reps,
@@ -654,9 +636,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every handler sees the resolved seed; a bad MINIFUNC_SEED exits 3
+        # every handler sees the resolved seed and phi; a bad MINIFUNC_SEED
+        # exits 3 before a bad --phi exits 2
         args.seed = _resolve_seed(args)
-        params, body = args.handler(args)
+        if args.phi is not None:
+            phi, phi_doc = parse_phi(args.phi)
+        else:  # only risk-sweep may give --alpha instead
+            phi, phi_doc = power_functional(args.alpha), {"kind": "power", "alpha": args.alpha}
+        params, body = args.handler(args, phi)
     except InputFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -666,7 +653,7 @@ def main(argv=None) -> int:
     except MinifuncError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    doc = {"command": args.command, "config": dict(params, seed=args.seed), **body}
+    doc = {"command": args.command, "config": dict(params, phi=phi_doc, seed=args.seed), **body}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

@@ -39,6 +39,8 @@ __all__ = [
     "composite_estimate",
     "corrected_plugin_estimate",
     "plain_plugin_estimate",
+    "ESTIMATORS",
+    "run_estimator",
 ]
 
 _MODELS = ("multinomial", "poissonized")
@@ -337,38 +339,26 @@ def plugin_symbol_estimate(N: int, n: float, phi: Functional, cfg: EstimatorConf
 
 @dataclass(frozen=True)
 class CompositeResult:
-    """Estimate plus the branch split and any warnings raised on the way."""
+    """Estimate plus the branch split and any warnings raised on the way.
+
+    run_estimator returns one for every estimator.  The split fields
+    (n_effective, degree, threshold, poly_interval) describe the
+    composite's construction; the plugins split nothing and leave them
+    None.
+    """
 
     estimate: float
     branch_counts: dict
     warnings: tuple
-    n_effective: float
-    degree: int
-    threshold: float
-    poly_interval: tuple
+    n_effective: float | None
+    degree: int | None
+    threshold: float | None
+    poly_interval: tuple | None
 
 
-_APPROX_CACHE: dict = {}
-_RANGE_CACHE: dict = {}
-
-
-def _cached_approx(phi: Functional, L: int, interval) -> ApproxResult:
-    # read-mostly cache; filled once per (functional, degree, interval)
-    key = (phi.cache_key(), L, float(interval[0]), float(interval[1]))
-    hit = _APPROX_CACHE.get(key)
-    if hit is None:
-        hit = remez_best_approx(phi.eval, L, interval)
-        _APPROX_CACHE[key] = hit
-    return hit
-
-
-def _cached_range(phi: Functional, interval) -> tuple[float, float]:
-    key = (phi.cache_key(), float(interval[0]), float(interval[1]))
-    hit = _RANGE_CACHE.get(key)
-    if hit is None:
-        hit = range_on_interval(phi.eval, interval)
-        _RANGE_CACHE[key] = hit
-    return hit
+# read-mostly cache of (best approximation, phi's range as the clamp),
+# filled once per (functional, degree, interval)
+_PLAN_CACHE: dict = {}
 
 
 def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:
@@ -379,8 +369,8 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     nominal size) or a pre-split SplitHistograms.  At n_effective < 3, or
     when the truncation point would reach 1, the construction is
     meaningless and the plain plugin on the unsplit counts is returned
-    with a warning.  The polynomial approximation is computed once per
-    (functional, degree, interval) and cached.
+    with a warning.  The polynomial approximation and its clamp are
+    computed once per (functional, degree, interval) and cached.
     """
     warnings: list[str] = []
     if isinstance(data, SplitHistograms):
@@ -423,12 +413,16 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     threshold = cfg.count_threshold(n_eff)
     interval = cfg.poly_interval(n_eff)
     delta = cfg.delta(n_eff)
-    approx = _cached_approx(phi, L, interval)
+    key = (phi.cache_key(), L, float(interval[0]), float(interval[1]))
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = remez_best_approx(phi.eval, L, interval), range_on_interval(phi.eval, interval)
+        _PLAN_CACHE[key] = plan
+    approx, clamp = plan
     if not approx.converged:
         warnings.append(
             f"best-approximation search did not converge at degree {L}; using last iterate"
         )
-    clamp = _cached_range(phi, interval)
 
     est_counts = split.est.counts
     plugin_mask = split.sel.counts >= threshold
@@ -466,3 +460,26 @@ def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
     """Uncorrected plugin: sum of phi at the empirical frequencies."""
     n = h.n_nominal if h.n_nominal > 0 else 1
     return math.fsum(_fingerprint_terms(h.counts, lambda c: phi.eval(c / n)).tolist())
+
+
+# registry order is part of the seeding contract: the estimator's index
+# feeds the per-rep seed tuple
+ESTIMATORS = ("plugin", "corrected", "composite")
+
+
+def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:
+    """Run the estimator called name (one of ESTIMATORS) on h.
+
+    composite returns composite_estimate's record, its split drawn from
+    rng.  The plugins ignore rng and report every symbol in the plugin
+    branch, no warnings, and None split fields.
+    """
+    if name == "composite":
+        return composite_estimate(h, phi, cfg, rng=rng)
+    if name == "plugin":
+        value = plain_plugin_estimate(h, phi)
+    elif name == "corrected":
+        value = corrected_plugin_estimate(h, phi, cfg)
+    else:
+        raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
+    return CompositeResult(value, {"plugin": h.k, "poly": 0}, (), None, None, None, None)

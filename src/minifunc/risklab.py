@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, MinifuncError
-from .estimators import (
-    EstimatorConfig,
-    composite_estimate,
-    corrected_plugin_estimate,
-    plain_plugin_estimate,
-    sample_histogram,
-    tuned_config,
-)
+from .estimators import ESTIMATORS, run_estimator, sample_histogram, tuned_config
 from .functionals import Functional, additive_functional
 
 __all__ = [
@@ -42,10 +35,6 @@ __all__ = [
 
 _FAMILIES = ("uniform", "zipf", "two_spike", "dirichlet")
 _DEFAULT_PARAM = {"zipf": 1.0, "two_spike": 0.5, "dirichlet": 1.0}
-
-# registry order is part of the seeding contract: the estimator's index
-# feeds the per-rep seed tuple
-ESTIMATORS = ("plugin", "corrected", "composite")
 
 _DIST_SEED_TAG = 987654321
 
@@ -154,14 +143,6 @@ class RiskReport:
         object.__setattr__(self, "estimates", estimates)
 
 
-def _dispatch(estimator: str, h, phi: Functional, cfg: EstimatorConfig, rng) -> float:
-    if estimator == "plugin":
-        return plain_plugin_estimate(h, phi)
-    if estimator == "corrected":
-        return corrected_plugin_estimate(h, phi, cfg)
-    return composite_estimate(h, phi, cfg, rng=rng).estimate
-
-
 def _jackknife_ses(estimates: np.ndarray, theta: float) -> tuple[float, float, float]:
     R = estimates.size
     if R < 2:
@@ -229,7 +210,7 @@ def monte_carlo_risk(
         )
         h = sample_histogram(P, n, model=model, rng=rng)
         try:
-            estimates[r] = _dispatch(estimator, h, phi, cfg, rng)
+            estimates[r] = run_estimator(estimator, h, phi, cfg, rng).estimate
         except MinifuncError as e:
             raise type(e)(
                 f"estimator {estimator!r} failed at rep {r}: {e}"
@@ -336,7 +317,6 @@ class SweepResult:
     """
 
     rows: tuple = field(default_factory=tuple)
-    reports: tuple = field(default_factory=tuple)
     slopes: dict = field(default_factory=dict)
     theory_slope: float = math.nan
 
@@ -373,7 +353,8 @@ def rate_sweep(
 
     Requires at least 4 grid points spanning a decade so the log-log
     slope fit means something.  The theory column is theoretical_rate at
-    phi.alpha.
+    phi.alpha, computed for the whole grid before any rep runs, so an
+    exponent outside (0, 2] is rejected up front.
     """
     ns = sorted(int(n) for n in n_grid)
     if len(ns) < 4:
@@ -385,18 +366,19 @@ def rate_sweep(
             f"n_grid must span at least one decade, got [{ns[0]}, {ns[-1]}]"
         )
     estimators = list(estimators)
+    if not estimators:
+        raise ConfigurationError(f"estimators must name at least one of {ESTIMATORS}")
     for est in estimators:
         if est not in ESTIMATORS:
             raise ConfigurationError(
                 f"estimator must be one of {ESTIMATORS}, got {est!r}"
             )
     k_of = parse_k_rule(k_rule)
+    specs = [DistributionSpec(family=family, k=k_of(n), param=param) for n in ns]
+    theory = [theoretical_rate(phi.alpha, n, spec.k) for n, spec in zip(ns, specs)]
 
     rows = []
-    reports = []
-    for n in ns:
-        k = k_of(n)
-        spec = DistributionSpec(family=family, k=k, param=param)
+    for n, spec, rate in zip(ns, specs, theory):
         for est in estimators:
             report = monte_carlo_risk(
                 spec,
@@ -411,28 +393,19 @@ def rate_sweep(
             rows.append(
                 SweepRow(
                     family=spec.label,
-                    k=k,
+                    k=spec.k,
                     n=n,
                     estimator=est,
                     bias=report.bias,
                     var=report.variance,
                     mse=report.mse,
                     se=report.se_mse,
-                    theory_rate=theoretical_rate(phi.alpha, n, k),
+                    theory_rate=rate,
                 )
             )
-            reports.append(report)
 
     slopes = {
         est: _log_slope(ns, [r.mse for r in rows if r.estimator == est])
         for est in estimators
     }
-    theory_slope = _log_slope(
-        ns, [r.theory_rate for r in rows if r.estimator == estimators[0]]
-    )
-    return SweepResult(
-        rows=tuple(rows),
-        reports=tuple(reports),
-        slopes=slopes,
-        theory_slope=theory_slope,
-    )
+    return SweepResult(rows=tuple(rows), slopes=slopes, theory_slope=_log_slope(ns, theory))

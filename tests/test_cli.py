@@ -89,6 +89,16 @@ class TestParsePhi:
         with pytest.raises(InputFormatError, match="kind"):
             parse_phi('{"kind": "renyi"}')
 
+    @pytest.mark.parametrize("alpha", ['"x"', "null", "[1]"])
+    def test_json_alpha_not_a_number(self, alpha, capsys):
+        text = '{"kind": "power", "alpha": %s}' % alpha
+        with pytest.raises(InputFormatError, match="must be a number"):
+            parse_phi(text)
+        code, out, err = run_cli(["approx", "--phi", text, "--L", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: power phi alpha must be a number")
+
     def test_garbage(self):
         with pytest.raises(InputFormatError, match="phi"):
             parse_phi("entropy")
@@ -298,6 +308,8 @@ class TestEstimateCommand:
         check_schema(doc, "estimate")
         assert doc["estimate"] == 0.0
         assert doc["branch_counts"] == {"plugin": 4, "poly": 0}
+        for key in ("n_effective", "degree", "threshold", "poly_interval"):
+            assert doc[key] is None
         assert doc["config"]["k"] == 4
         assert doc["config"]["n"] == 50
         assert doc["config"]["estimator"] == "plugin"
@@ -388,6 +400,17 @@ class TestEstimateCommand:
         )
         assert code == 0
         check_schema(json.loads(out), "estimate")
+
+    @pytest.mark.parametrize("n, needle", [("0", "--n >= 1"), ("-5", "non-negative")])
+    def test_poissonized_n_must_be_positive(self, uniform_file, capsys, n, needle):
+        code, out, err = run_cli(
+            ["estimate", "--phi", "shannon", "--input", uniform_file,
+             "--model", "poissonized", "--n", n],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert needle in err
 
     def test_multinomial_n_mismatch(self, uniform_file, capsys):
         code, _, err = run_cli(
@@ -681,6 +704,21 @@ class TestRiskSweepCommand:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["2.5", "-1"])
+    def test_bad_alpha_fails_fast_and_quietly(self, tmp_path, alpha):
+        # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+        proc = _run_child(
+            "import sys; from minifunc.cli import main; sys.exit(main(sys.argv[1:]))",
+            "risk-sweep", "--family", "uniform", "--alpha", alpha,
+            "--n-grid", "30,60,120,300", "--reps", "100",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_phi_alpha_mutually_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

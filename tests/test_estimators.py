@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from minifunc.errors import ConfigurationError
 from minifunc.estimators import (
+    ESTIMATORS,
     CompositeResult,
     EstimatorConfig,
     Histogram,
@@ -23,6 +24,7 @@ from minifunc.estimators import (
     plain_plugin_estimate,
     plugin_symbol_estimate,
     recommended_estimator,
+    run_estimator,
     sample_histogram,
     split_samples,
     tuned_config,
@@ -598,6 +600,51 @@ class TestPluginEstimators:
         for _ in range(reps):
             total += plain_plugin_estimate(sample_histogram(P, n, rng=rng), SH)
         assert total / reps < math.log(k)
+
+
+# a multinomial and a poissonized histogram, both well inside the split regime
+_REGISTRY_HISTOGRAMS = (
+    Histogram(counts=np.array([40, 25, 15, 10, 6, 3, 1, 0]), n_nominal=100),
+    Histogram(counts=np.array([12, 0, 7, 3, 30, 1]), n_nominal=50, model="poissonized"),
+)
+
+
+class TestRunEstimator:
+    @pytest.mark.parametrize("h", _REGISTRY_HISTOGRAMS, ids=["multinomial", "poissonized"])
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_matches_direct_call(self, name, h):
+        cfg = tuned_config(1.0)
+        direct = {
+            "plugin": lambda: plain_plugin_estimate(h, SH),
+            "corrected": lambda: corrected_plugin_estimate(h, SH, cfg),
+            "composite": lambda: composite_estimate(h, SH, cfg, rng=np.random.default_rng(5)).estimate,
+        }
+        res = run_estimator(name, h, SH, cfg, np.random.default_rng(5))
+        assert isinstance(res, CompositeResult)
+        assert res.estimate == direct[name]()
+
+    def test_composite_record_is_composite_estimate(self):
+        h = _REGISTRY_HISTOGRAMS[0]
+        cfg = tuned_config(1.0, rng_seed=4)
+        want = composite_estimate(h, SH, cfg, rng=np.random.default_rng(4))
+        assert run_estimator("composite", h, SH, cfg, np.random.default_rng(4)) == want
+        # without an rng the split is seeded from cfg.rng_seed
+        assert run_estimator("composite", h, SH, cfg) == want
+
+    @pytest.mark.parametrize("name", ["plugin", "corrected"])
+    def test_plugins_leave_split_fields_none(self, name):
+        for h in _REGISTRY_HISTOGRAMS:
+            res = run_estimator(name, h, SH, tuned_config(1.0))
+            assert res.branch_counts == {"plugin": h.k, "poly": 0}
+            assert res.warnings == ()
+            assert res.n_effective is None
+            assert res.degree is None
+            assert res.threshold is None
+            assert res.poly_interval is None
+
+    def test_unknown_name(self):
+        with pytest.raises(ConfigurationError, match="estimator must be one of"):
+            run_estimator("oracle", _REGISTRY_HISTOGRAMS[0], SH, tuned_config(1.0))
 
 
 class TestCorrectionOrderIdentity:

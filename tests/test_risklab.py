@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from minifunc import risklab
 from minifunc.errors import ConfigurationError
 from minifunc.functionals import custom_functional, power_functional, shannon_functional
 from minifunc.risklab import (
@@ -266,6 +267,22 @@ class TestRateSweep:
         with pytest.raises(ConfigurationError, match="estimator"):
             rate_sweep("uniform", SH, ["oracle"], [100, 200, 500, 1000])
 
+    def test_empty_estimator_list(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            rate_sweep("uniform", SH, [], [100, 200, 500, 1000])
+
+    @pytest.mark.parametrize("alpha", [2.5, -1.0])
+    def test_bad_exponent_rejected_before_any_rep(self, alpha, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("monte_carlo_risk ran before the exponent was checked")
+
+        monkeypatch.setattr(risklab, "monte_carlo_risk", fail)
+        with pytest.raises(ConfigurationError, match="alpha"):
+            rate_sweep(
+                "uniform", power_functional(alpha), ["plugin", "composite"],
+                [30, 60, 120, 300], reps=100,
+            )
+
     def test_csv_identical_across_jobs(self, uniform_sweeps):
         one, three = uniform_sweeps
         assert one.to_csv() == three.to_csv()
@@ -275,7 +292,7 @@ class TestRateSweep:
         lines = one.to_csv().splitlines()
         assert lines[0] == "family,k,n,estimator,bias,var,mse,se,theory_rate"
         assert len(lines) == 1 + 4 * 2
-        assert len(one.reports) == 8
+        assert len(one.rows) == 8
 
     def test_plugin_mse_flat_at_k_equals_n(self, uniform_sweeps):
         # with k = n the squared-bias term k^2/n^2 is constant, and it
