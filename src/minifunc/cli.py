@@ -321,15 +321,18 @@ def _parse_samples(lines, k_override) -> np.ndarray:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MINIFUNC_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigurationError(f"MINIFUNC_SEED must be an integer, got {env!r}") from None
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env, source = os.environ.get("MINIFUNC_SEED"), "MINIFUNC_SEED"
+        if env is None:
+            return 0
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigurationError(f"MINIFUNC_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ConfigurationError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _num_or_null(x) -> float | None:

@@ -12,7 +12,7 @@ are reproducible bit-for-bit regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +162,19 @@ def _jackknife_ses(estimates: np.ndarray, theta: float) -> tuple[float, float, f
     return (se(loo_bias), se(loo_var), se(loo_mse))
 
 
+_RUN_REP = None
+
+
+def _init_worker(run_rep) -> None:
+    global _RUN_REP
+    _RUN_REP = run_rep
+
+
+def _rep_block(bounds: tuple[int, int]) -> list[float]:
+    lo, hi = bounds
+    return [_RUN_REP(r) for r in range(lo, hi)]
+
+
 def monte_carlo_risk(
     spec: DistributionSpec,
     phi: Functional,
@@ -178,8 +191,12 @@ def monte_carlo_risk(
     ('plugin', 'corrected', or 'composite') with tuned_config(phi.alpha)
     constants; rep r is seeded from (master_seed, n, k, estimator index,
     r), so a longer run extends a shorter one sample-for-sample and the
-    worker count never changes the output.  Estimator failures are
-    re-raised with the rep index.
+    worker count never changes the output.  Rep 0 runs in the parent,
+    which warms the Remez plan cache; with jobs > 1 the parent then
+    forks up to min(jobs, cpu count) worker processes, which inherit
+    that cache and each run one contiguous block of the remaining reps.
+    Where fork is unavailable the reps run serially.  Estimator failures
+    are re-raised with the rep index.
     """
     if estimator not in ESTIMATORS:
         raise ConfigurationError(
@@ -202,27 +219,34 @@ def monte_carlo_risk(
     P = spec.probability_vector(rng=dist_rng)
     theta = additive_functional(P, phi)
 
-    estimates = np.empty(reps, dtype=float)
-
-    def run_rep(r: int) -> None:
+    def run_rep(r: int) -> float:
         rng = np.random.default_rng(
             np.random.SeedSequence((master_seed, n, spec.k, est_idx, r))
         )
         h = sample_histogram(P, n, model=model, rng=rng)
         try:
-            estimates[r] = run_estimator(estimator, h, phi, cfg, rng).estimate
+            return run_estimator(estimator, h, phi, cfg, rng).estimate
         except MinifuncError as e:
             raise type(e)(
                 f"estimator {estimator!r} failed at rep {r}: {e}"
             ) from e
 
-    if jobs == 1:
-        for r in range(reps):
-            run_rep(r)
+    first = run_rep(0)
+    workers = min(jobs, reps - 1, os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        rest = [run_rep(r) for r in range(1, reps)]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for fut in [pool.submit(run_rep, r) for r in range(reps)]:
-                fut.result()
+        edges = np.linspace(1, reps, workers + 1).astype(int).tolist()
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(run_rep,)) as pool:
+            blocks = pool.map(_rep_block, zip(edges[:-1], edges[1:]), chunksize=1)
+        rest = [x for block in blocks for x in block]
+    estimates = np.array([first, *rest], dtype=float)
 
     mean = math.fsum(estimates.tolist()) / reps
     bias = mean - theta

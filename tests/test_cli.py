@@ -356,6 +356,24 @@ class TestEstimateCommand:
         assert code == 3
         assert "MINIFUNC_SEED" in err
 
+    @pytest.mark.parametrize("estimator", ["composite", "plugin"])
+    def test_negative_seed_rejected(self, uniform_file, capsys, estimator):
+        code, out, err = run_cli(
+            ["estimate", "--phi", "shannon", "--input", uniform_file,
+             "--estimator", estimator, "--seed", "-1"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: --seed must be >= 0, got -1\n"
+
+    def test_negative_env_seed_rejected(self, uniform_file, capsys, monkeypatch):
+        monkeypatch.setenv("MINIFUNC_SEED", "-3")
+        code, out, err = run_cli(
+            ["estimate", "--phi", "shannon", "--input", uniform_file], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: MINIFUNC_SEED must be >= 0, got -3\n"
+
     def test_inadmissible_constants_rejected(self, uniform_file, capsys):
         code, _, err = run_cli(
             ["estimate", "--phi", "shannon", "--input", uniform_file,
@@ -789,6 +807,17 @@ class TestImportFootprint:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["code"] == 0
         assert result["scipy"] == []
+
+    def test_no_pool_modules_loaded(self):
+        # --jobs imports multiprocessing only when it forks
+        child = """
+import sys
+import minifunc, minifunc.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+        proc = _run_child(child)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_runs_with_scipy_blocked(self):
         # scipy is a test-only dependency: the library must run without it

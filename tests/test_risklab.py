@@ -1,12 +1,15 @@
 """Tests for distribution families, Monte Carlo risk, and rate sweeps."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from minifunc import risklab
-from minifunc.errors import ConfigurationError
+from minifunc.errors import ConfigurationError, NumericalError
+from minifunc.estimators import sample_histogram
 from minifunc.functionals import custom_functional, power_functional, shannon_functional
 from minifunc.risklab import (
     ESTIMATORS,
@@ -22,6 +25,32 @@ SH = shannon_functional()
 
 # Table-style rate at alpha=1, n=k=1e4: k^2/(n ln n)^2 + ln^2(k)/n
 RATE_ALPHA1_1E4 = 0.02027126803999131
+
+
+class _InlineForkContext:
+    """Stands in for a fork context: records the pool sizes asked for and
+    runs the blocks in this process, so no worker is ever started."""
+
+    def __init__(self):
+        self.methods, self.sizes = [], []
+
+    def get_context(self, method):
+        self.methods.append(method)
+        return self
+
+    def Pool(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return [fn(x) for x in iterable]
 
 
 class TestDistributionSpec:
@@ -162,9 +191,56 @@ class TestMonteCarloRisk:
     def test_jobs_do_not_change_output(self):
         spec = DistributionSpec("zipf", 20)
         serial = monte_carlo_risk(spec, SH, "composite", 200, reps=100, jobs=1)
-        threaded = monte_carlo_risk(spec, SH, "composite", 200, reps=100, jobs=4)
-        assert np.array_equal(serial.estimates, threaded.estimates)
-        assert serial.mse == threaded.mse
+        forked = monte_carlo_risk(spec, SH, "composite", 200, reps=100, jobs=4)
+        assert np.array_equal(serial.estimates, forked.estimates)
+        assert serial.mse == forked.mse
+
+    def test_worker_failure_reaches_caller(self, monkeypatch):
+        spec = DistributionSpec("uniform", 200)
+        # the rng run_estimator sees at rep 150: its key, advanced by the draw
+        rng150 = np.random.default_rng(
+            np.random.SeedSequence((0, 200, 200, ESTIMATORS.index("plugin"), 150))
+        )
+        sample_histogram(spec.probability_vector(), 200, rng=rng150)
+        state150 = rng150.bit_generator.state
+        real = risklab.run_estimator
+
+        def failing(name, h, phi, cfg, rng):
+            if rng.bit_generator.state == state150:
+                raise NumericalError("injected")
+            return real(name, h, phi, cfg, rng)
+
+        monkeypatch.setattr(risklab, "run_estimator", failing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(NumericalError, match="failed at rep 150: injected"):
+            monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (10**4, 99)])
+    def test_pool_capped_by_cores_and_reps(self, monkeypatch, cores, workers):
+        # rep 0 runs in the parent, so 100 reps leave work for 99 workers
+        fake = _InlineForkContext()
+        monkeypatch.setattr(multiprocessing, "get_context", fake.get_context)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(risklab, "_RUN_REP", None)
+        spec = DistributionSpec("zipf", 20)
+        serial = monte_carlo_risk(spec, SH, "plugin", 200, reps=100, jobs=1)
+        pooled = monte_carlo_risk(spec, SH, "plugin", 200, reps=100, jobs=10**6)
+        assert fake.methods == ["fork"]
+        assert fake.sizes == [workers]
+        assert np.array_equal(serial.estimates, pooled.estimates)
+
+    def test_serial_without_fork(self, monkeypatch):
+        fake = _InlineForkContext()
+        monkeypatch.setattr(multiprocessing, "get_context", fake.get_context)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        spec = DistributionSpec("zipf", 20)
+        serial = monte_carlo_risk(spec, SH, "composite", 200, reps=100, jobs=1)
+        fallback = monte_carlo_risk(spec, SH, "composite", 200, reps=100, jobs=4)
+        assert fake.methods == []
+        assert np.array_equal(serial.estimates, fallback.estimates)
+        assert serial.mse == fallback.mse
 
     def test_estimator_failure_carries_rep_index(self):
         # order-2 correction needs two derivatives; this functional
