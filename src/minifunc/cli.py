@@ -561,9 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
         "of discrete distributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--phi", required=True)
+    common.add_argument("--seed", type=int)
 
-    p = sub.add_parser("estimate", help="estimate theta from a histogram or sample file")
-    p.add_argument("--phi", required=True)
+    p = sub.add_parser("estimate", help="estimate theta from a histogram or sample file", parents=[common])
     p.add_argument("--input", required=True)
     p.add_argument("--model", choices=["multinomial", "poissonized"], default="multinomial")
     p.add_argument("--n", type=int)
@@ -574,25 +576,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=list(ESTIMATORS))
     p.add_argument("--preset", choices=["default", "tuned"], default="default")
     p.add_argument("--allow-unvalidated", action="store_true")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_estimate)
 
-    p = sub.add_parser("approx", help="best uniform polynomial approximation report")
-    p.add_argument("--phi", required=True)
+    p = sub.add_parser("approx", help="best uniform polynomial approximation report", parents=[common])
     p.add_argument("--L", required=True, type=int)
     p.add_argument("--interval", default="0,1")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_approx)
 
-    p = sub.add_parser("check-speed", help="fit divergence-speed constants for phi")
-    p.add_argument("--phi", required=True)
+    p = sub.add_parser("check-speed", help="fit divergence-speed constants for phi", parents=[common])
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_check_speed)
 
-    p = sub.add_parser("lower-bound", help="minimax lower-bound constructions")
-    p.add_argument("--phi", required=True)
+    p = sub.add_parser("lower-bound", help="minimax lower-bound constructions", parents=[common])
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument(
@@ -603,25 +599,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float)
     p.add_argument("--degree", type=int)
     p.add_argument("--gap", type=float)
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_lower_bound)
 
-    p = sub.add_parser("priors", help="moment-matched measure pair to CSV")
-    p.add_argument("--phi", required=True)
+    p = sub.add_parser("priors", help="moment-matched measure pair to CSV", parents=[common])
     p.add_argument("--L", required=True, type=int)
     p.add_argument("--interval", default="0,1")
     p.add_argument("--gamma", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_priors)
 
-    p = sub.add_parser("risk-sweep", help="Monte Carlo risk table across an n-grid")
+    p = sub.add_parser("risk-sweep", help="Monte Carlo risk table across an n-grid", parents=[common])
     p.add_argument("--family", required=True, choices=["uniform", "zipf", "two_spike", "dirichlet"])
     p.add_argument("--param", type=float)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--phi")
-    group.add_argument("--alpha", type=float)
     p.add_argument("--n-grid", required=True)
     p.add_argument("--k-rule", default="n")
     p.add_argument("--reps", type=int, default=1000)
@@ -629,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["multinomial", "poissonized"], default="multinomial")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_risk_sweep)
 
     return parser
@@ -642,10 +631,7 @@ def main(argv=None) -> int:
         # every handler sees the resolved seed and phi; a bad MINIFUNC_SEED
         # exits 3 before a bad --phi exits 2
         args.seed = _resolve_seed(args)
-        if args.phi is not None:
-            phi, phi_doc = parse_phi(args.phi)
-        else:  # only risk-sweep may give --alpha instead
-            phi, phi_doc = power_functional(args.alpha), {"kind": "power", "alpha": args.alpha}
+        phi, phi_doc = parse_phi(args.phi)
         params, body = args.handler(args, phi)
     except InputFormatError as e:
         print(f"error: {e}", file=sys.stderr)

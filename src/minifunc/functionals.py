@@ -75,6 +75,10 @@ class Functional:
         return self.label or self.kind
 
     def cache_key(self):
+        # (kind, alpha) fixes a built-in; two custom functionals may share
+        # label and alpha yet differ, so a custom one keys as itself
+        if self.kind == "custom":
+            return self
         return (self.kind, float(self.alpha), self.label)
 
 

@@ -2,11 +2,13 @@
 
 monte_carlo_risk runs independent sample-then-estimate cycles against a
 fixed distribution and reports bias, variance, and MSE with jackknife
-standard errors.  rate_sweep strings those reports across an n-grid with
-an alphabet-size rule and fits log-log slopes, next to a closed-form
-rate oracle keyed on the divergence-speed exponent.  Every random draw
-is seeded from (master_seed, n, k, estimator index, rep), so results
-are reproducible bit-for-bit regardless of worker count.
+standard errors.  rate_sweep does the same for every (n, estimator) cell
+of an n-grid with an alphabet-size rule and fits log-log slopes, next to
+a closed-form rate oracle keyed on the divergence-speed exponent.  Both
+run one simulation routine, which lays every (cell, rep) task out in
+order and maps them over at most one fork pool.  Every random draw is
+seeded from (master_seed, n, k, estimator index, rep), so results are
+reproducible bit-for-bit regardless of worker count.
 """
 
 from __future__ import annotations
@@ -162,17 +164,105 @@ def _jackknife_ses(estimates: np.ndarray, theta: float) -> tuple[float, float, f
     return (se(loo_bias), se(loo_var), se(loo_mse))
 
 
-_RUN_REP = None
+# (rep function, rep index) for every rep of the simulation being
+# forked: the pool's workers inherit it, so no closure is pickled
+_TASKS: list = []
 
 
-def _init_worker(run_rep) -> None:
-    global _RUN_REP
-    _RUN_REP = run_rep
+def _run_task(i: int) -> float:
+    run_rep, r = _TASKS[i]
+    return run_rep(r)
 
 
-def _rep_block(bounds: tuple[int, int]) -> list[float]:
-    lo, hi = bounds
-    return [_RUN_REP(r) for r in range(lo, hi)]
+def _cell(spec, estimator, n, phi, cfg, master_seed, model):
+    """theta and the rep function of one (spec, estimator, n) cell."""
+    est_idx = ESTIMATORS.index(estimator)
+    dist_rng = np.random.default_rng(
+        np.random.SeedSequence((master_seed, spec.k, _DIST_SEED_TAG))
+    )
+    P = spec.probability_vector(rng=dist_rng)
+
+    def run_rep(r: int) -> float:
+        rng = np.random.default_rng(
+            np.random.SeedSequence((master_seed, n, spec.k, est_idx, r))
+        )
+        h = sample_histogram(P, n, model=model, rng=rng)
+        try:
+            return run_estimator(estimator, h, phi, cfg, rng).estimate
+        except MinifuncError as e:
+            raise type(e)(
+                f"estimator {estimator!r} failed at rep {r}: {e}"
+            ) from e
+
+    return additive_functional(P, phi), run_rep
+
+
+def _simulate(cells, phi, reps, master_seed, model, jobs) -> list[RiskReport]:
+    """One RiskReport per (spec, estimator, n) cell, in cell order.
+
+    The (cell, rep) tasks are laid out, and their estimates collected,
+    in cell-then-rep order; with jobs > 1 they are mapped, ceil(reps /
+    workers) to a chunk, over one fork pool of min(jobs, cpu count,
+    tasks) workers.  Where fork is unavailable they run serially.
+    """
+    global _TASKS
+    for _, estimator, n in cells:
+        if estimator not in ESTIMATORS:
+            raise ConfigurationError(
+                f"estimator must be one of {ESTIMATORS}, got {estimator!r}"
+            )
+        if n < 1:
+            raise ConfigurationError(f"sample size must be >= 1, got {n}")
+    if reps < 100:
+        raise ConfigurationError(f"reps must be >= 100, got {reps}")
+    if master_seed < 0:
+        raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    cfg = tuned_config(phi.alpha)
+    thetas, run_reps = zip(
+        *(_cell(spec, est, n, phi, cfg, master_seed, model) for spec, est, n in cells)
+    )
+    tasks = [(run_rep, r) for run_rep in run_reps for r in range(reps)]
+
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        results = [run_rep(r) for run_rep, r in tasks]
+    else:
+        _TASKS = tasks
+        try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = pool.map(
+                    _run_task, range(len(tasks)), chunksize=math.ceil(reps / workers)
+                )
+        finally:
+            _TASKS = []
+
+    reports = []
+    for c, ((_, estimator, _), theta) in enumerate(zip(cells, thetas)):
+        estimates = np.array(results[c * reps : (c + 1) * reps], dtype=float)
+        mean = math.fsum(estimates.tolist()) / reps
+        se_bias, se_variance, se_mse = _jackknife_ses(estimates, theta)
+        reports.append(
+            RiskReport(
+                estimator=estimator,
+                estimates=estimates,
+                bias=mean - theta,
+                variance=math.fsum(((estimates - mean) ** 2).tolist()) / reps,
+                mse=math.fsum(((estimates - theta) ** 2).tolist()) / reps,
+                reps=reps,
+                theta_true=theta,
+                se_bias=se_bias,
+                se_variance=se_variance,
+                se_mse=se_mse,
+            )
+        )
+    return reports
 
 
 def monte_carlo_risk(
@@ -191,80 +281,13 @@ def monte_carlo_risk(
     ('plugin', 'corrected', or 'composite') with tuned_config(phi.alpha)
     constants; rep r is seeded from (master_seed, n, k, estimator index,
     r), so a longer run extends a shorter one sample-for-sample and the
-    worker count never changes the output.  Rep 0 runs in the parent,
-    which warms the Remez plan cache; with jobs > 1 the parent then
-    forks up to min(jobs, cpu count) worker processes, which inherit
-    that cache and each run one contiguous block of the remaining reps.
-    Where fork is unavailable the reps run serially.  Estimator failures
-    are re-raised with the rep index.
+    worker count never changes the output.  This is rate_sweep's
+    simulation on a single cell: with jobs > 1 the reps run in up to
+    min(jobs, cpu count) forked worker processes, and serially where
+    fork is unavailable.  Estimator failures are re-raised with the rep
+    index.
     """
-    if estimator not in ESTIMATORS:
-        raise ConfigurationError(
-            f"estimator must be one of {ESTIMATORS}, got {estimator!r}"
-        )
-    if reps < 100:
-        raise ConfigurationError(f"reps must be >= 100, got {reps}")
-    if n < 1:
-        raise ConfigurationError(f"sample size must be >= 1, got {n}")
-    if master_seed < 0:
-        raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    cfg = tuned_config(phi.alpha)
-    est_idx = ESTIMATORS.index(estimator)
-
-    dist_rng = np.random.default_rng(
-        np.random.SeedSequence((master_seed, spec.k, _DIST_SEED_TAG))
-    )
-    P = spec.probability_vector(rng=dist_rng)
-    theta = additive_functional(P, phi)
-
-    def run_rep(r: int) -> float:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((master_seed, n, spec.k, est_idx, r))
-        )
-        h = sample_histogram(P, n, model=model, rng=rng)
-        try:
-            return run_estimator(estimator, h, phi, cfg, rng).estimate
-        except MinifuncError as e:
-            raise type(e)(
-                f"estimator {estimator!r} failed at rep {r}: {e}"
-            ) from e
-
-    first = run_rep(0)
-    workers = min(jobs, reps - 1, os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers == 1:
-        rest = [run_rep(r) for r in range(1, reps)]
-    else:
-        edges = np.linspace(1, reps, workers + 1).astype(int).tolist()
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(run_rep,)) as pool:
-            blocks = pool.map(_rep_block, zip(edges[:-1], edges[1:]), chunksize=1)
-        rest = [x for block in blocks for x in block]
-    estimates = np.array([first, *rest], dtype=float)
-
-    mean = math.fsum(estimates.tolist()) / reps
-    bias = mean - theta
-    mse = math.fsum(((estimates - theta) ** 2).tolist()) / reps
-    variance = math.fsum(((estimates - mean) ** 2).tolist()) / reps
-    se_bias, se_variance, se_mse = _jackknife_ses(estimates, theta)
-    return RiskReport(
-        estimator=estimator,
-        estimates=estimates,
-        bias=bias,
-        variance=variance,
-        mse=mse,
-        reps=reps,
-        theta_true=theta,
-        se_bias=se_bias,
-        se_variance=se_variance,
-        se_mse=se_mse,
-    )
+    return _simulate([(spec, estimator, n)], phi, reps, master_seed, model, jobs)[0]
 
 
 def theoretical_rate(alpha: float, n: int, k: int) -> float:
@@ -392,41 +415,26 @@ def rate_sweep(
     estimators = list(estimators)
     if not estimators:
         raise ConfigurationError(f"estimators must name at least one of {ESTIMATORS}")
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ConfigurationError(
-                f"estimator must be one of {ESTIMATORS}, got {est!r}"
-            )
     k_of = parse_k_rule(k_rule)
     specs = [DistributionSpec(family=family, k=k_of(n), param=param) for n in ns]
     theory = [theoretical_rate(phi.alpha, n, spec.k) for n, spec in zip(ns, specs)]
 
-    rows = []
-    for n, spec, rate in zip(ns, specs, theory):
-        for est in estimators:
-            report = monte_carlo_risk(
-                spec,
-                phi,
-                est,
-                n,
-                reps=reps,
-                master_seed=master_seed,
-                model=model,
-                jobs=jobs,
-            )
-            rows.append(
-                SweepRow(
-                    family=spec.label,
-                    k=spec.k,
-                    n=n,
-                    estimator=est,
-                    bias=report.bias,
-                    var=report.variance,
-                    mse=report.mse,
-                    se=report.se_mse,
-                    theory_rate=rate,
-                )
-            )
+    grid = [(spec, est, n, rate) for n, spec, rate in zip(ns, specs, theory) for est in estimators]
+    reports = _simulate([cell[:3] for cell in grid], phi, reps, master_seed, model, jobs)
+    rows = [
+        SweepRow(
+            family=spec.label,
+            k=spec.k,
+            n=n,
+            estimator=est,
+            bias=report.bias,
+            var=report.variance,
+            mse=report.mse,
+            se=report.se_mse,
+            theory_rate=rate,
+        )
+        for (spec, est, n, rate), report in zip(grid, reports)
+    ]
 
     slopes = {
         est: _log_slope(ns, [r.mse for r in rows if r.estimator == est])

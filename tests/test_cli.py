@@ -5,6 +5,7 @@ back as JSON and validated against the schema files shipped with the
 package.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -89,15 +90,21 @@ class TestParsePhi:
         with pytest.raises(InputFormatError, match="kind"):
             parse_phi('{"kind": "renyi"}')
 
-    @pytest.mark.parametrize("alpha", ['"x"', "null", "[1]"])
-    def test_json_alpha_not_a_number(self, alpha, capsys):
-        text = '{"kind": "power", "alpha": %s}' % alpha
-        with pytest.raises(InputFormatError, match="must be a number"):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param('{"kind": "power", "alpha": %s}' % alpha,
+                         "power phi alpha must be a number", id=alpha)
+            for alpha in ('"x"', "null", "[1]")
+        ] + [pytest.param('{"kind": "power"}', "power phi needs an alpha field", id="missing")],
+    )
+    def test_json_alpha_not_a_number(self, text, message, capsys):
+        with pytest.raises(InputFormatError, match=message):
             parse_phi(text)
         code, out, err = run_cli(["approx", "--phi", text, "--L", "3"], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: power phi alpha must be a number")
+        assert err.startswith(f"error: {message}")
 
     def test_garbage(self):
         with pytest.raises(InputFormatError, match="phi"):
@@ -525,11 +532,12 @@ class TestApproxCommand:
         assert doc["converged"] is True
 
     def test_bad_interval_exit_2(self, capsys):
-        code, _, err = run_cli(
-            ["approx", "--phi", "shannon", "--L", "4", "--interval", "0;1"], capsys
-        )
-        assert code == 2
-        assert "interval" in err
+        for interval in ("0;1", "0,x"):
+            code, _, err = run_cli(
+                ["approx", "--phi", "shannon", "--L", "4", "--interval", interval], capsys
+            )
+            assert code == 2
+            assert "interval" in err
 
     def test_numerical_failure_exit_4(self, capsys):
         # x^{-1/2} blows up at the left endpoint
@@ -673,6 +681,43 @@ class TestPriorsCommand:
         assert doc["support_size"] == 6 + 3
 
 
+class TestUnconvergedRemezWarns:
+    @pytest.fixture(autouse=True)
+    def unconverged(self, monkeypatch):
+        # every best-approximation solve returns its result marked unconverged
+        def solve(f, L, interval):
+            return dataclasses.replace(remez_best_approx(f, L, interval), converged=False)
+
+        monkeypatch.setattr("minifunc.estimators.remez_best_approx", solve)
+        monkeypatch.setattr("minifunc.lowerbounds.remez_best_approx", solve)
+        monkeypatch.setattr("minifunc.estimators._PLAN_CACHE", {})
+
+    def test_estimate(self, uniform_file, capsys):
+        code, out, _ = run_cli(
+            ["estimate", "--phi", "shannon", "--input", uniform_file,
+             "--estimator", "composite", "--preset", "tuned"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        check_schema(doc, "estimate")
+        assert doc["degree"] == 3
+        assert "best-approximation search did not converge at degree 3; using last iterate" in (
+            doc["warnings"]
+        )
+
+    def test_priors(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["priors", "--phi", "shannon", "--L", "6", "--interval", "0,0.5",
+             "--out", str(tmp_path / "pair.csv")],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        check_schema(doc, "priors")
+        assert doc["warnings"] == ["best-approximation reference did not converge at degree 6"]
+
+
 class TestRiskSweepCommand:
     def _argv(self, out_path, seed="3", jobs="1"):
         return [
@@ -728,7 +773,7 @@ class TestRiskSweepCommand:
         # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
         proc = _run_child(
             "import sys; from minifunc.cli import main; sys.exit(main(sys.argv[1:]))",
-            "risk-sweep", "--family", "uniform", "--alpha", alpha,
+            "risk-sweep", "--family", "uniform", "--phi", f"power:{alpha}",
             "--n-grid", "30,60,120,300", "--reps", "100",
             "--out", str(tmp_path / "s.csv"),
         )
@@ -738,14 +783,16 @@ class TestRiskSweepCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "s.csv").exists()
 
-    def test_phi_alpha_mutually_exclusive(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
+    def test_alpha_flag_removed(self, tmp_path, capsys):
+        # --phi power:A names a power functional; --alpha is no longer a synonym
+        with pytest.raises(SystemExit) as exc:
             main([
                 "risk-sweep", "--family", "uniform", "--phi", "shannon",
                 "--alpha", "1.0", "--n-grid", "30,60,120,300",
                 "--out", str(tmp_path / "s.csv"),
             ])
-        capsys.readouterr()
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
 
 
 # Run in a fresh interpreter so that modules pytest or other tests loaded do

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from minifunc import estimators
 from minifunc.errors import ConfigurationError
 from minifunc.estimators import (
     ESTIMATORS,
@@ -33,6 +34,7 @@ from minifunc.estimators import (
 from minifunc.functionals import (
     additive_functional,
     bias_corrected_fn,
+    custom_functional,
     power_functional,
     range_on_interval,
     shannon_functional,
@@ -547,6 +549,27 @@ class TestComposite:
         split = SplitHistograms(est=est, sel=sel, n_effective=10.0)
         res = composite_estimate(split, SH, cfg)
         assert any("plain plugin" in w for w in res.warnings)
+
+    def test_custom_functionals_with_one_label_keep_their_own_plans(self, monkeypatch):
+        # sqrt(p) and 3 sqrt(p) share kind, label and alpha; the plan cached
+        # for the first must not answer for the second
+        monkeypatch.setattr(estimators, "_PLAN_CACHE", {})
+        root = power_functional(0.5)
+
+        def scaled(c):
+            return custom_functional(
+                lambda p: c * root.eval(p),
+                [lambda p, ell=ell: c * root.deriv(ell, p) for ell in range(1, 5)],
+                alpha=0.5,
+            )
+
+        cfg = tuned_config(0.5)
+        h = sample_histogram(np.full(1000, 1e-3), 2000, rng=np.random.default_rng(8))
+        split = split_samples(h, rng=np.random.default_rng(9))
+        one = composite_estimate(split, scaled(1.0), cfg)
+        three = composite_estimate(split, scaled(3.0), cfg)
+        assert one.branch_counts["poly"] > 0
+        assert three.estimate == pytest.approx(3.0 * one.estimate, rel=1e-9)
 
     def test_rejects_wrong_input_type(self):
         with pytest.raises(ConfigurationError, match="Histogram"):

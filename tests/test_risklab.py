@@ -29,7 +29,7 @@ RATE_ALPHA1_1E4 = 0.02027126803999131
 
 class _InlineForkContext:
     """Stands in for a fork context: records the pool sizes asked for and
-    runs the blocks in this process, so no worker is ever started."""
+    runs the tasks in this process, so no worker is ever started."""
 
     def __init__(self):
         self.methods, self.sizes = [], []
@@ -38,9 +38,8 @@ class _InlineForkContext:
         self.methods.append(method)
         return self
 
-    def Pool(self, processes, initializer, initargs):
+    def Pool(self, processes):
         self.sizes.append(processes)
-        initializer(*initargs)
         return self
 
     def __enter__(self):
@@ -215,20 +214,20 @@ class TestMonteCarloRisk:
         with pytest.raises(NumericalError, match="failed at rep 150: injected"):
             monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
 
-    @pytest.mark.parametrize("cores, workers", [(3, 3), (10**4, 99)])
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (10**4, 800)])
     def test_pool_capped_by_cores_and_reps(self, monkeypatch, cores, workers):
-        # rep 0 runs in the parent, so 100 reps leave work for 99 workers
+        # one pool for the whole sweep: 4 n values x 2 estimators x 100 reps
+        # are 800 tasks, so 800 workers at most
         fake = _InlineForkContext()
         monkeypatch.setattr(multiprocessing, "get_context", fake.get_context)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(risklab, "_RUN_REP", None)
-        spec = DistributionSpec("zipf", 20)
-        serial = monte_carlo_risk(spec, SH, "plugin", 200, reps=100, jobs=1)
-        pooled = monte_carlo_risk(spec, SH, "plugin", 200, reps=100, jobs=10**6)
+        args = ("zipf", SH, ["plugin", "composite"], [30, 60, 120, 300])
+        serial = rate_sweep(*args, k_rule="fixed:20", reps=100, jobs=1)
+        pooled = rate_sweep(*args, k_rule="fixed:20", reps=100, jobs=10**6)
         assert fake.methods == ["fork"]
         assert fake.sizes == [workers]
-        assert np.array_equal(serial.estimates, pooled.estimates)
+        assert pooled.to_csv() == serial.to_csv()
 
     def test_serial_without_fork(self, monkeypatch):
         fake = _InlineForkContext()
@@ -350,9 +349,9 @@ class TestRateSweep:
     @pytest.mark.parametrize("alpha", [2.5, -1.0])
     def test_bad_exponent_rejected_before_any_rep(self, alpha, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("monte_carlo_risk ran before the exponent was checked")
+            raise AssertionError("a rep ran before the exponent was checked")
 
-        monkeypatch.setattr(risklab, "monte_carlo_risk", fail)
+        monkeypatch.setattr(risklab, "sample_histogram", fail)
         with pytest.raises(ConfigurationError, match="alpha"):
             rate_sweep(
                 "uniform", power_functional(alpha), ["plugin", "composite"],
