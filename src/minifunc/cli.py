@@ -5,9 +5,12 @@ Subcommands: estimate (histogram/sample file to point estimate), approx
 lower-bound (two-point and composite constructions), check-speed
 (divergence-speed fit), priors (moment-matched pair to CSV).  Every
 command prints one JSON document with the resolved configuration
-embedded, so a run can be reproduced from its own output.  Exit codes:
-0 success, 2 malformed input (with line number), 3 configuration
-rejected, 4 numerical failure.
+embedded, so a run can be reproduced from its own output.  --phi is
+'shannon' or 'power:<alpha>' with a finite alpha.  Exit codes: 0
+success, 2 malformed input (with line number, or a bad --phi), 3
+configuration rejected (also an unwritable --out, or running out of
+memory), 4 numerical failure; every failure prints one 'error:' line to
+stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -63,39 +66,28 @@ def schema_path(command: str):
     return resources.files("minifunc") / "schemas" / name
 
 
-def parse_phi(text: str) -> tuple[Functional, dict]:
-    """'shannon', 'power:<alpha>', or a JSON object with a kind field."""
+def parse_phi(text: str) -> Functional:
+    """The functional named by --phi: 'shannon' or 'power:<alpha>', alpha finite."""
     text = text.strip()
     if text == "shannon":
-        return shannon_functional(), {"kind": "shannon"}
+        return shannon_functional()
     if text.startswith("power:"):
         try:
             alpha = float(text.split(":", 1)[1])
         except ValueError:
             raise InputFormatError(f"bad power exponent in {text!r}") from None
-        return power_functional(alpha), {"kind": "power", "alpha": alpha}
-    if text.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise InputFormatError(f"phi JSON does not parse: {e}") from None
-        kind = doc.get("kind")
-        if kind == "shannon":
-            return shannon_functional(), {"kind": "shannon"}
-        if kind == "power":
-            if "alpha" not in doc:
-                raise InputFormatError("power phi needs an alpha field")
-            try:
-                alpha = float(doc["alpha"])
-            except (TypeError, ValueError):
-                raise InputFormatError(
-                    f"power phi alpha must be a number, got {doc['alpha']!r}"
-                ) from None
-            return power_functional(alpha), {"kind": "power", "alpha": alpha}
-        raise InputFormatError(f"unknown phi kind {kind!r}")
-    raise InputFormatError(
-        f"phi must be 'shannon', 'power:<alpha>', or a JSON object, got {text!r}"
-    )
+        if not math.isfinite(alpha):
+            raise InputFormatError(f"power exponent must be finite, got {text!r}")
+        return power_functional(alpha)
+    raise InputFormatError(f"phi must be 'shannon' or 'power:<alpha>', got {text!r}")
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigurationError(f"cannot write {path}: {e}") from None
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -360,26 +352,22 @@ def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
 
     alpha = phi.alpha
     order = args.order if args.order is not None else default_correction_order(alpha)
-    warnings: list[str] = []
     if (args.c1 is None) != (args.c2 is None):
         raise ConfigurationError("--c1 and --c2 must be given together")
-    if args.c1 is not None:
-        preset = "explicit"
+    preset = args.preset if args.c1 is None else "explicit"
+    if preset == "explicit":
         cfg = EstimatorConfig(c1=args.c1, c2=args.c2, correction_order=order, rng_seed=args.seed)
-        violations = validate_config(cfg, alpha)
-        if violations and not args.allow_unvalidated:
-            raise ConfigurationError(
-                "constants fail the admissibility inequalities: "
-                + "; ".join(str(v) for v in violations)
-            )
-        warnings.extend(f"admissibility: {v}" for v in violations)
-    elif args.preset == "tuned":
-        preset = "tuned"
-        cfg = tuned_config(alpha, correction_order=order, rng_seed=args.seed)
-        warnings.extend(f"admissibility: {v}" for v in validate_config(cfg, alpha))
     else:
-        preset = "default"
-        cfg = default_config(alpha, correction_order=order, rng_seed=args.seed)
+        make = tuned_config if preset == "tuned" else default_config
+        cfg = make(alpha, correction_order=order, rng_seed=args.seed)
+    # only explicit constants are rejected; a preset's violations are warnings
+    violations = validate_config(cfg, alpha)
+    if violations and preset == "explicit" and not args.allow_unvalidated:
+        raise ConfigurationError(
+            "constants fail the admissibility inequalities: "
+            + "; ".join(str(v) for v in violations)
+        )
+    warnings = [f"admissibility: {v}" for v in violations]
 
     estimator = args.estimator or recommended_estimator(alpha)
     # no rng: the composite seeds its split from cfg.rng_seed, the resolved seed
@@ -463,8 +451,8 @@ def _cmd_lower_bound(args, phi: Functional) -> tuple[dict, dict]:
         if args.gap is None:
             raise ConfigurationError("composite construction needs --gap (the separation to certify)")
         # the default lam and degree take logs and roots of n and k
-        if args.k < 1 or args.n < 1:
-            raise ConfigurationError(f"need k >= 1 and n >= 1, got k={args.k}, n={args.n}")
+        if args.k < 2 or args.n < 1:
+            raise ConfigurationError(f"need k >= 2 and n >= 1, got k={args.k}, n={args.n}")
         lam = args.lam if args.lam is not None else min(
             0.05 * args.k * math.log(args.n) / args.n, math.sqrt(args.k) / 12.0
         )
@@ -502,8 +490,7 @@ def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
     lines = ["x,w0,w1"]
     for x, w0, w1 in zip(pair.support, pair.w0, pair.w1):
         lines.append(f"{float(x)!r},{float(w0)!r},{float(w1)!r}")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_out(args.out, "\n".join(lines) + "\n")
     params = {
         "L": args.L,
         "interval": list(interval) if interval is not None else None,
@@ -535,8 +522,7 @@ def _cmd_risk_sweep(args, phi: Functional) -> tuple[dict, dict]:
         model=args.model,
         jobs=args.jobs,
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(result.to_csv())
+    _write_out(args.out, result.to_csv())
     params = {
         "family": args.family,
         "param": args.param,
@@ -624,6 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the first class an error is an instance of sets its exit code
+_EXIT_CODES = ((InputFormatError, 2), (ConfigurationError, 3), (MinifuncError, 4), (MemoryError, 3))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -631,17 +621,14 @@ def main(argv=None) -> int:
         # every handler sees the resolved seed and phi; a bad MINIFUNC_SEED
         # exits 3 before a bad --phi exits 2
         args.seed = _resolve_seed(args)
-        phi, phi_doc = parse_phi(args.phi)
+        phi = parse_phi(args.phi)
         params, body = args.handler(args, phi)
-    except InputFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConfigurationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except MinifuncError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+    except (MinifuncError, MemoryError) as e:
+        code = next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
+        prefix = "out of memory: " if isinstance(e, MemoryError) else ""
+        print(f"error: {prefix}{e}", file=sys.stderr)
+        return code
+    phi_doc = {"kind": phi.kind} if phi.kind == "shannon" else {"kind": phi.kind, "alpha": phi.alpha}
     doc = {"command": args.command, "config": dict(params, phi=phi_doc, seed=args.seed), **body}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

@@ -222,7 +222,7 @@ def additive_functional(P, phi: Functional) -> float:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise FunctionalDomainError(
-            f"phi({probs[i]!r}) is not finite at index {i} for functional {phi.name}"
+            f"phi({float(probs[i])}) is not finite at index {i} for functional {phi.name}"
         )
     return math.fsum(vals.tolist())
 
@@ -323,7 +323,7 @@ def check_divergence_speed(
     if not np.all(np.isfinite(vals)):
         i = int(np.argmax(~np.isfinite(vals)))
         raise FunctionalDomainError(
-            f"|phi^({ell})| not finite at p={grid[i]!r} for functional {phi.name}"
+            f"|phi^({ell})| not finite at p={float(grid[i])} for functional {phi.name}"
         )
     ratios = vals * grid ** (ell - alpha)
     head = ratios[:32]
@@ -368,7 +368,7 @@ def range_on_interval(f, interval) -> tuple[float, float]:
     ys = np.asarray(fn(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
         i = int(np.argmax(~np.isfinite(ys)))
-        raise FunctionalDomainError(f"f({xs[i]!r}) not finite while scanning {interval!r}")
+        raise FunctionalDomainError(f"f({float(xs[i])}) not finite while scanning {interval!r}")
     # refine argmin and argmax as one batch: the argmin bracket maximises -f
     idx = np.array([np.argmin(ys), np.argmax(ys)])
     sign = np.array([-1.0, 1.0])

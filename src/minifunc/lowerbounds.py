@@ -391,8 +391,8 @@ def composite_lower_bound(
         )
     if not 0.0 < alpha < 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha!r}")
-    if k < 1 or n < 1:
-        raise ConfigurationError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    if k < 2 or n < 1:
+        raise ConfigurationError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     if L < 1 or lam <= 0 or d < 0:
         raise ConfigurationError("need L >= 1, lam > 0, d >= 0")
 

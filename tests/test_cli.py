@@ -62,52 +62,64 @@ def uniform_file(tmp_path):
 
 
 class TestParsePhi:
-    def test_shannon(self):
-        phi, doc = parse_phi("shannon")
-        assert doc == {"kind": "shannon"}
+    # the grammar message every other --phi text gets
+    GRAMMAR = "phi must be 'shannon' or 'power:<alpha>', got "
+
+    def test_shannon(self, capsys):
+        phi = parse_phi("shannon")
+        assert phi.kind == "shannon"
         assert phi.eval(0.5) == pytest.approx(0.5 * math.log(2.0))
+        code, out, _ = run_cli(["check-speed", "--phi", "shannon", "--ell", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["phi"] == {"kind": "shannon"}
 
-    def test_power_shorthand(self):
-        phi, doc = parse_phi("power:0.5")
-        assert doc == {"kind": "power", "alpha": 0.5}
+    def test_power_shorthand(self, capsys):
+        phi = parse_phi("power:0.5")
+        assert (phi.kind, phi.alpha) == ("power", 0.5)
         assert phi.eval(0.25) == pytest.approx(0.5)
+        code, out, _ = run_cli(["check-speed", "--phi", " power:0.5 "], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["phi"] == {"kind": "power", "alpha": 0.5}
 
-    def test_json_forms(self):
-        _, doc = parse_phi('{"kind": "power", "alpha": 1.4}')
-        assert doc == {"kind": "power", "alpha": 1.4}
-        _, doc = parse_phi(' {"kind": "shannon"} ')
-        assert doc == {"kind": "shannon"}
+    def test_bad_exponent(self, uniform_file, tmp_path, capsys, monkeypatch):
+        # a non-finite exponent is rejected before any command does work
+        def no_work(*args, **kwargs):
+            raise AssertionError("a command ran with a rejected --phi")
 
-    def test_bad_exponent(self):
-        with pytest.raises(InputFormatError, match="exponent"):
-            parse_phi("power:x")
+        for name in ("read_counts", "remez_best_approx", "rate_sweep"):
+            monkeypatch.setattr(f"minifunc.cli.{name}", no_work)
+        commands = [
+            ["estimate", "--input", uniform_file],
+            ["approx", "--L", "3"],
+            ["risk-sweep", "--family", "uniform", "--n-grid", "30,60,120,300",
+             "--reps", "100", "--out", str(tmp_path / "s.csv")],
+        ]
+        for text, message in [
+            ("power:x", "bad power exponent in 'power:x'"),
+            ("power:", "bad power exponent in 'power:'"),
+            ("power:nan", "power exponent must be finite, got 'power:nan'"),
+            ("power:inf", "power exponent must be finite, got 'power:inf'"),
+            ("power:-inf", "power exponent must be finite, got 'power:-inf'"),
+        ]:
+            with pytest.raises(InputFormatError, match="exponent"):
+                parse_phi(text)
+            for argv in commands:
+                code, out, err = run_cli([argv[0], "--phi", text, *argv[1:]], capsys)
+                assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "s.csv").exists()
 
-    def test_bad_json(self):
-        with pytest.raises(InputFormatError, match="parse"):
-            parse_phi("{not json")
-
-    def test_unknown_kind(self):
-        with pytest.raises(InputFormatError, match="kind"):
-            parse_phi('{"kind": "renyi"}')
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            pytest.param('{"kind": "power", "alpha": %s}' % alpha,
-                         "power phi alpha must be a number", id=alpha)
-            for alpha in ('"x"', "null", "[1]")
-        ] + [pytest.param('{"kind": "power"}', "power phi needs an alpha field", id="missing")],
-    )
-    def test_json_alpha_not_a_number(self, text, message, capsys):
-        with pytest.raises(InputFormatError, match=message):
-            parse_phi(text)
-        code, out, err = run_cli(["approx", "--phi", text, "--L", "3"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {message}")
+    def test_json_forms(self, capsys):
+        # the two functionals have one spelling each; JSON is not one of them
+        for text in ['{"kind": "power", "alpha": 1.4}', ' {"kind": "shannon"} ',
+                     '{"kind": "renyi"}', '{"kind": "power"}', "{not json"]:
+            with pytest.raises(InputFormatError):
+                parse_phi(text)
+            code, out, err = run_cli(["approx", "--phi", text, "--L", "3"], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {self.GRAMMAR}{text.strip()!r}\n"
 
     def test_garbage(self):
-        with pytest.raises(InputFormatError, match="phi"):
+        with pytest.raises(InputFormatError, match="phi must be"):
             parse_phi("entropy")
 
 
@@ -402,6 +414,16 @@ class TestEstimateCommand:
         assert doc["config"]["preset"] == "explicit"
         assert any("admissibility" in w for w in doc["warnings"])
 
+    # explicit constants under --allow-unvalidated: test_allow_unvalidated_escape
+    @pytest.mark.parametrize("preset, warned", [("tuned", True), ("default", False)])
+    def test_preset_admissibility_warnings(self, uniform_file, capsys, preset, warned):
+        code, out, _ = run_cli(
+            ["estimate", "--phi", "shannon", "--input", uniform_file, "--preset", preset], capsys
+        )
+        assert code == 0
+        warnings = [w for w in json.loads(out)["warnings"] if w.startswith("admissibility: ")]
+        assert bool(warnings) == warned
+
     def test_half_explicit_constants(self, uniform_file, capsys):
         code, _, err = run_cli(
             ["estimate", "--phi", "shannon", "--input", uniform_file, "--c1", "0.9"],
@@ -621,18 +643,20 @@ class TestLowerBoundCommand:
 
     @pytest.mark.parametrize(
         "k, n, extra",
-        [("100", "0", []), ("-4", "1000", []), ("0", "1000", ["--lam", "0.01"])],
-        ids=["n-zero", "k-negative", "k-zero-explicit-lam"],
+        [("100", "0", []), ("-4", "1000", []), ("0", "1000", ["--lam", "0.01"]),
+         ("1", "1000", ["--gap", "1e-12"])],
+        ids=["n-zero", "k-negative", "k-zero-explicit-lam", "k-one"],
     )
     def test_composite_rejects_bad_k_n(self, capsys, k, n, extra):
         # the default lam and degree take log(n) and sqrt(k); the bound divides by k
-        code, _, err = run_cli(
+        # and, like the two-point pairs, needs a second symbol
+        code, out, err = run_cli(
             ["lower-bound", "--phi", "shannon", "--k", k, "--n", n,
              "--construction", "composite", "--gap", "1e-6", *extra],
             capsys,
         )
-        assert code == 3
-        assert "k >= 1 and n >= 1" in err
+        assert (code, out) == (3, "")
+        assert "k >= 2 and n >= 1" in err
 
 
 class TestPriorsCommand:
@@ -663,6 +687,15 @@ class TestPriorsCommand:
                   "--grid-size", "600", "--out", out_path])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_unwritable_out_exit_3(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "pair.csv")
+        code, out, err = run_cli(
+            ["priors", "--phi", "shannon", "--L", "6", "--out", out_path], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1
 
     def test_tilted_pair(self, tmp_path, capsys):
         out_path = str(tmp_path / "tilted.csv")
@@ -750,6 +783,13 @@ class TestRiskSweepCommand:
         assert json.loads(out1)["slopes"] == json.loads(out2)["slopes"]
         assert json.loads(out1)["slopes"] == json.loads(out3)["slopes"]
 
+    def test_unwritable_out_exit_3(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "sweep.csv")
+        code, out, err = run_cli(self._argv(out_path), capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+
     def test_short_grid_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["risk-sweep", "--family", "uniform", "--phi", "shannon",
@@ -793,6 +833,26 @@ class TestRiskSweepCommand:
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    def test_memory_error_exit_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr("minifunc.cli.remez_best_approx", exhausted)
+        code, out, err = run_cli(["approx", "--phi", "shannon", "--L", "3"], capsys)
+        assert (code, out, err) == (3, "", "error: out of memory: no room\n")
+
+    def test_alphabet_beyond_address_space_exit_3(self, capsys):
+        # 8e18 bytes per vector: beyond any user address space (2**57 bytes with
+        # 5-level paging), so the allocation fails without touching memory
+        code, out, err = run_cli(
+            ["lower-bound", "--phi", "shannon", "--k", str(10**18), "--n", "1000"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: out of memory: ")
+        assert err.count("\n") == 1
 
 
 # Run in a fresh interpreter so that modules pytest or other tests loaded do

@@ -282,3 +282,21 @@ class TestRangeOnInterval:
     def test_empty_interval(self):
         with pytest.raises(ConfigurationError, match="interval"):
             range_on_interval(SH, (0.5, 0.5))
+
+
+def test_domain_errors_print_plain_floats():
+    # numpy 2 reprs a scalar as np.float64(...); the messages print the float
+    def nowhere_finite(p):
+        return np.full(np.shape(p), np.inf)
+
+    phi = custom_functional(nowhere_finite, [nowhere_finite], alpha=1.0)
+    for call, message in [
+        (lambda: additive_functional(ProbabilityVector([0.5, 0.5]), phi),
+         "phi(0.5) is not finite at index 0"),
+        (lambda: check_divergence_speed(phi, 1), "|phi^(1)| not finite at p=1e-08"),
+        (lambda: range_on_interval(phi, (0.0, 1.0)), "f(0.0) not finite while scanning"),
+    ]:
+        with pytest.raises(FunctionalDomainError) as exc:
+            call()
+        assert str(exc.value).startswith(message)
+        assert "np.float64" not in str(exc.value)

@@ -481,9 +481,9 @@ class TestCompositeLowerBound:
         with pytest.raises(ConfigurationError, match="fitted_bound_constants"):
             composite_lower_bound(SH, 100, 10, 0.05, 3, 1e-4)
 
-    @pytest.mark.parametrize("n, k", [(1000, 0), (0, 100)])
+    @pytest.mark.parametrize("n, k", [(1000, 0), (1000, 1), (0, 100)])
     def test_rejects_bad_k_n(self, n, k):
-        with pytest.raises(ConfigurationError, match="k >= 1 and n >= 1"):
+        with pytest.raises(ConfigurationError, match="k >= 2 and n >= 1"):
             composite_lower_bound(SH, n, k, 0.01, 3, 1e-6, W=1.0, Wprime=1.0)
 
     def test_alpha_range(self):
