@@ -108,15 +108,28 @@ class TestParsePhi:
                 assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "s.csv").exists()
 
+    def assert_rejected(self, text, capsys):
+        with pytest.raises(InputFormatError, match="phi must be"):
+            parse_phi(text)
+        code, out, err = run_cli(["approx", "--phi", text, "--L", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {self.GRAMMAR}{text.strip()!r}\n"
+
     def test_json_forms(self, capsys):
         # the two functionals have one spelling each; JSON is not one of them
-        for text in ['{"kind": "power", "alpha": 1.4}', ' {"kind": "shannon"} ',
-                     '{"kind": "renyi"}', '{"kind": "power"}', "{not json"]:
-            with pytest.raises(InputFormatError):
-                parse_phi(text)
-            code, out, err = run_cli(["approx", "--phi", text, "--L", "3"], capsys)
-            assert (code, out) == (2, "")
-            assert err == f"error: {self.GRAMMAR}{text.strip()!r}\n"
+        for text in ['{"kind": "power", "alpha": 1.4}', ' {"kind": "shannon"} ']:
+            self.assert_rejected(text, capsys)
+
+    def test_bad_json(self, capsys):
+        self.assert_rejected("{not json", capsys)
+
+    def test_unknown_kind(self, capsys):
+        self.assert_rejected('{"kind": "renyi"}', capsys)
+
+    @pytest.mark.parametrize("text", [pytest.param('{"kind": "power"}', id="missing")])
+    def test_json_alpha_not_a_number(self, text, capsys):
+        # a power text without its exponent gets the grammar message too
+        self.assert_rejected(text, capsys)
 
     def test_garbage(self):
         with pytest.raises(InputFormatError, match="phi must be"):
