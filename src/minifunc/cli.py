@@ -5,12 +5,13 @@ Subcommands: estimate (histogram/sample file to point estimate), approx
 lower-bound (two-point and composite constructions), check-speed
 (divergence-speed fit), priors (moment-matched pair to CSV).  Every
 command prints one JSON document with the resolved configuration
-embedded, so a run can be reproduced from its own output.  --phi is
-'shannon' or 'power:<alpha>' with a finite alpha.  Exit codes: 0
-success, 2 malformed input (with line number, or a bad --phi), 3
-configuration rejected (also an unwritable --out, or running out of
-memory), 4 numerical failure; every failure prints one 'error:' line to
-stderr and nothing to stdout.
+embedded, so a run can be reproduced from its own output; a NaN or
+infinite number in it prints as null.  --phi is 'shannon' or
+'power:<alpha>' with a finite alpha.  Exit codes: 0 success, 2
+malformed input (with line number, or a bad --phi), 3 configuration
+rejected (also an unwritable --out, or running out of memory), 4
+numerical failure; every failure prints one 'error:' line to stderr and
+nothing to stdout.
 """
 
 from __future__ import annotations
@@ -82,8 +83,16 @@ def parse_phi(text: str) -> Functional:
     raise InputFormatError(f"phi must be 'shannon' or 'power:<alpha>', got {text!r}")
 
 
-def _write_out(path: str, text: str) -> None:
+def _write_out(path: str, text: str | None) -> None:
+    """Write text to path, or with text None check that path is writable
+    without truncating it or leaving a new file behind."""
     try:
+        if text is None:
+            existed = os.path.lexists(path)
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+            if not existed:
+                os.remove(path)
+            return
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as e:
@@ -327,11 +336,6 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _num_or_null(x) -> float | None:
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
 def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
     counts, kind = read_counts(args.input, args.k)
     total = int(counts.sum())  # exact: read_counts keeps it below 2**63
@@ -416,7 +420,7 @@ def _cmd_check_speed(args, phi: Functional) -> tuple[dict, dict]:
         "c": report.c,
         "c_prime": report.c_prime,
         "spread": report.spread,
-        "witness": _num_or_null(report.witness) if report.witness is not None else None,
+        "witness": report.witness,
     }
 
 
@@ -467,8 +471,8 @@ def _cmd_lower_bound(args, phi: Functional) -> tuple[dict, dict]:
         params["gap"] = d
         extras = {
             "condition": res.condition,
-            "e_l": _num_or_null(res.e_l),
-            "gamma": _num_or_null(res.gamma) if res.gamma is not None else None,
+            "e_l": res.e_l,
+            "gamma": res.gamma,
         }
     return params, {
         "construction": args.construction,
@@ -499,7 +503,7 @@ def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
     }
     return params, {
         "gap": pair.gap,
-        "expected_gap": _num_or_null(pair.expected_gap),
+        "expected_gap": pair.expected_gap,
         "matched_orders": pair.matched_orders,
         "support_size": int(pair.support.size),
         "warnings": list(pair.warnings),
@@ -510,6 +514,7 @@ def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
 def _cmd_risk_sweep(args, phi: Functional) -> tuple[dict, dict]:
     n_grid = _parse_int_list(args.n_grid, "--n-grid")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
+    _write_out(args.out, None)  # before any rep runs
     result = rate_sweep(
         args.family,
         phi,
@@ -535,8 +540,8 @@ def _cmd_risk_sweep(args, phi: Functional) -> tuple[dict, dict]:
     }
     return params, {
         "out": args.out,
-        "slopes": {est: _num_or_null(s) for est, s in result.slopes.items()},
-        "theory_slope": _num_or_null(result.theory_slope),
+        "slopes": result.slopes,
+        "theory_slope": result.theory_slope,
     }
 
 
@@ -630,8 +635,17 @@ def main(argv=None) -> int:
         return code
     phi_doc = {"kind": phi.kind} if phi.kind == "shannon" else {"kind": phi.kind, "alpha": phi.alpha}
     doc = {"command": args.command, "config": dict(params, phi=phi_doc, seed=args.seed), **body}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False))
     return 0
+
+
+def _finite_or_null(x):
+    """x with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(x, dict):
+        return {key: _finite_or_null(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 if __name__ == "__main__":

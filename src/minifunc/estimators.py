@@ -32,9 +32,7 @@ __all__ = [
     "recommended_estimator",
     "sample_histogram",
     "split_samples",
-    "factorial_moment",
     "best_poly_symbol_estimate",
-    "plugin_symbol_estimate",
     "CompositeResult",
     "composite_estimate",
     "corrected_plugin_estimate",
@@ -287,20 +285,6 @@ def split_samples(h: Histogram, rng=None) -> SplitHistograms:
     return SplitHistograms(est=est, sel=sel, n_effective=half)
 
 
-def factorial_moment(N: int, m: int) -> float:
-    """Falling factorial N(N-1)...(N-m+1); 0 when m > N, 1 when m = 0."""
-    N = int(N)
-    m = int(m)
-    if N < 0 or m < 0:
-        raise ValueError("factorial_moment needs N >= 0 and m >= 0")
-    if m > N:
-        return 0.0
-    out = 1.0
-    for j in range(m):
-        out *= N - j
-    return out
-
-
 def best_poly_symbol_estimate(N: int, n: float, approx: ApproxResult, clamp) -> float:
     """Unbiased polynomial transform sum_m a_m (N)_m / n^m, then clamp.
 
@@ -330,11 +314,6 @@ def _fingerprint_terms(counts, g) -> np.ndarray:
     # memory O(k) even for counts like 10**12, where bincount would not
     values, mult = np.unique(counts, return_counts=True)
     return mult * np.asarray(g(values), dtype=float)
-
-
-def plugin_symbol_estimate(N: int, n: float, phi: Functional, cfg: EstimatorConfig) -> float:
-    """Bias-corrected plugin value for one symbol: phi_bar(N/n) at cfg's order."""
-    return float(bias_corrected_fn(phi, cfg.correction_order, cfg.delta(n), n, N / n))
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,16 @@ class Functional:
 
     kind: str
     alpha: float
-    max_deriv_order: int
     _eval: Callable
     _derivs: tuple
     label: str = ""
 
     def eval(self, p):
         return self._eval(p)
+
+    @property
+    def max_deriv_order(self) -> int:
+        return len(self._derivs)
 
     def deriv(self, ell: int, p):
         if not 1 <= ell <= self.max_deriv_order:
@@ -111,7 +114,7 @@ def power_functional(alpha: float) -> Functional:
         return dv
 
     derivs = tuple(make_deriv(ell) for ell in range(1, 7))
-    return Functional(kind="power", alpha=a, max_deriv_order=6, _eval=ev, _derivs=derivs)
+    return Functional(kind="power", alpha=a, _eval=ev, _derivs=derivs)
 
 
 def _zero_limit(a: float) -> float:
@@ -151,7 +154,7 @@ def shannon_functional() -> Functional:
         return dv
 
     derivs = (d1,) + tuple(make_deriv(ell) for ell in range(2, 7))
-    return Functional(kind="shannon", alpha=1.0, max_deriv_order=6, _eval=ev, _derivs=derivs)
+    return Functional(kind="shannon", alpha=1.0, _eval=ev, _derivs=derivs)
 
 
 def custom_functional(
@@ -166,7 +169,6 @@ def custom_functional(
     return Functional(
         kind="custom",
         alpha=float(alpha),
-        max_deriv_order=len(derivs),
         _eval=fn,
         _derivs=tuple(derivs),
         label=label,
@@ -318,6 +320,8 @@ def check_divergence_speed(
     """
     if alpha is None:
         alpha = phi.alpha
+    if not math.isfinite(alpha):
+        raise ConfigurationError(f"alpha must be finite, got {alpha!r}")
     grid = _SPEED_GRID
     vals = np.abs(np.asarray(phi.deriv(ell, grid), dtype=float))
     if not np.all(np.isfinite(vals)):
@@ -379,16 +383,17 @@ def range_on_interval(f, interval) -> tuple[float, float]:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 70
 
 
-def _golden_max(g, a, b, iters: int = 70):
+def _golden_max(g, a, b):
     """Batched golden-section maximisation of g over the brackets [a_j, b_j].
 
     g is vectorised over the bracket arrays; >= keeps the left subinterval
     on ties, so equal extrema resolve leftmost.  Returns the midpoints of
-    the final brackets.
+    the final brackets after _GOLDEN_STEPS steps.
     """
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
         take_left = g(c) >= g(d)

@@ -11,7 +11,8 @@ approximation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +43,19 @@ __all__ = [
     "hoelder_norm",
     "log_speed_constants",
     "fitted_bound_constants",
-    "simplex_max_power_sum",
-    "simplex_max_p_log2p",
 ]
 
-_KINDS = ("kl", "chi2", "hellinger", "tv")
+_KINDS = ("kl", "hellinger")
 
 
 def divergence(P, Q, kind: str) -> float:
     """Divergence between two distributions on the same alphabet.
 
-    kl: KL(P||Q) with natural log and 0 log 0 = 0.  chi2: sum of
-    (p-q)^2/q over the support of Q.  hellinger: the squared Hellinger
+    kl: KL(P||Q) with natural log and 0 log 0 = 0; raises SupportError
+    when Q vanishes where P does not.  hellinger: the squared Hellinger
     distance in the normalization where disjoint supports give 4, i.e.
     2 sum (sqrt p - sqrt q)^2, so that 1 - H^2/4 is the Bhattacharyya
-    coefficient.  tv: half the l1 distance.  kl and chi2 raise
-    SupportError when the reference Q vanishes where the mass does not.
+    coefficient.
     """
     p = as_prob_array(P)
     q = as_prob_array(Q)
@@ -68,23 +66,16 @@ def divergence(P, Q, kind: str) -> float:
     kind = kind.lower()
     if kind not in _KINDS:
         raise ConfigurationError(f"divergence kind must be one of {_KINDS}, got {kind!r}")
-    if kind in ("kl", "chi2"):
-        bad = np.flatnonzero((q == 0.0) & (p > 0.0))
-        if bad.size:
-            raise SupportError(
-                f"symbol {int(bad[0])} has positive mass under P but zero under Q"
-            )
-    if kind == "kl":
-        mask = p > 0.0
-        return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    if kind == "chi2":
-        mask = q > 0.0
-        d = p[mask] - q[mask]
-        return float(np.sum(d * d / q[mask]))
     if kind == "hellinger":
         d = np.sqrt(p) - np.sqrt(q)
         return float(2.0 * np.sum(d * d))
-    return float(0.5 * np.sum(np.abs(p - q)))
+    bad = np.flatnonzero((q == 0.0) & (p > 0.0))
+    if bad.size:
+        raise SupportError(
+            f"symbol {int(bad[0])} has positive mass under P but zero under Q"
+        )
+    mask = p > 0.0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
 @dataclass(frozen=True)
@@ -219,10 +210,6 @@ def moment_matched_pair(f, L: int, interval) -> MeasurePair:
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi):
         raise ConfigurationError(f"invalid interval [{lo!r}, {hi!r}]")
-    u = 0.5 * (1.0 - np.cos(np.pi * np.arange(L + 2) / (L + 1)))
-    if not np.all(np.isfinite(np.asarray(fn(lo + (hi - lo) * u), dtype=float))):
-        raise ConfigurationError("function is not finite at the Chebyshev extrema of the interval")
-
     approx = remez_best_approx(fn, L, (lo, hi))
     x = approx.alternation_points
     t = (2.0 * x - (lo + hi)) / (hi - lo)
@@ -371,8 +358,8 @@ def composite_lower_bound(
     lam: float,
     L: int,
     d: float,
-    W: float = None,
-    Wprime: float = None,
+    W: float,
+    Wprime: float,
 ) -> CompositeBoundResult:
     """Risk bound d^2/32 (7/8 - k(2e n lam / Lk)^L) minus correction terms.
 
@@ -385,10 +372,6 @@ def composite_lower_bound(
     """
     fn = phi.eval
     alpha = phi.alpha
-    if W is None or Wprime is None:
-        raise ConfigurationError(
-            "W and Wprime are calibration inputs; use fitted_bound_constants(phi, alpha)"
-        )
     if not 0.0 < alpha < 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha!r}")
     if k < 2 or n < 1:
@@ -430,6 +413,10 @@ def composite_lower_bound(
         )
 
     base = 2.0 * math.e * n * lam / (L * k)
+    if base > 0 and math.log(k) + L * math.log(base) > math.log(sys.float_info.max):
+        raise ConfigurationError(
+            f"tv_term k (2e n lam / (L k))^L = {k} * {base:.6g}^{L} overflows a float"
+        )
     tv_term = k * math.exp(L * math.log(base)) if base > 0 else 0.0
     main = d**2 / 32.0 * (7.0 / 8.0 - tv_term)
     terms = {"main": main, "tv_term": tv_term}
@@ -493,7 +480,7 @@ def log_speed_constants(phi: Functional):
     return W, c
 
 
-def fitted_bound_constants(phi: Functional, alpha: float | None = None):
+def fitted_bound_constants(phi: Functional, alpha: float):
     """Documented recipe for the composite bound's W and Wprime.
 
     alpha < 1: twice the squared alpha-Hoelder norm of phi on [0,1].
@@ -501,8 +488,6 @@ def fitted_bound_constants(phi: Functional, alpha: float | None = None):
     alpha in (1,2): twice the squared Lipschitz norm.  Wprime reuses W,
     which matches its role as a same-order correction scale.
     """
-    if alpha is None:
-        alpha = phi.alpha
     if not 0.0 < alpha < 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha!r}")
     if alpha == 1.0:
@@ -512,47 +497,3 @@ def fitted_bound_constants(phi: Functional, alpha: float | None = None):
         h = hoelder_norm(phi, min(alpha, 1.0))
         W = 2.0 * h * h
     return W, W
-
-
-def simplex_max_power_sum(alpha: float, k: int):
-    """Max of sum p_i^alpha over the k-simplex.
-
-    Stationarity of a separable objective with strictly monotone
-    marginal derivative forces all positive coordinates to one common
-    level, so the candidates are uniform on m symbols with value
-    m^(1 - alpha).  That is increasing in m for alpha < 1 (maximum
-    k^(1 - alpha), uniform) and decreasing for alpha > 1 (maximum 1, a
-    point mass).  Returns (value, maximizer).
-    """
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    if alpha <= 0 or alpha == 1.0:
-        raise ConfigurationError(f"alpha must be positive and != 1, got {alpha!r}")
-    m = k if alpha < 1.0 else 1
-    p = np.zeros(k)
-    p[:m] = 1.0 / m
-    return float(m ** (1.0 - alpha)), p
-
-
-def simplex_max_p_log2p(k: int):
-    """Max of sum p_i ln^2 p_i over the k-simplex.
-
-    The marginal derivative ln^2 p + 2 ln p takes each value at most
-    twice, so stationary points have at most two positive levels
-    p+ = e^(s-1), p- = e^(-s-1) (product e^-2) on m and kk - m symbols.
-    The mass constraint m p+ + (kk - m) p- = 1 is the quadratic
-    m u^2 - e u + (kk - m) = 0 in u = e^s, whose discriminant
-    e^2 - 4 m (kk - m) is negative unless kk = 2, m = 1.  So the
-    candidates are the uniform points, with value ln^2 kk, and at kk = 2
-    the two-level point p+/- = (1 +/- sqrt(1 - 4 e^-2)) / 2 =
-    (0.838622, 0.161378) with value 0.562880.  That point beats ln^2 2
-    but not ln^2 3: the maximum is the two-level point at k = 2 and the
-    uniform value ln^2 k for k >= 3.  Returns (value, maximizer).
-    """
-    if k < 2:
-        raise ConfigurationError(f"k must be >= 2, got {k}")
-    if k >= 3:
-        return math.log(k) ** 2, np.full(k, 1.0 / k)
-    root = math.sqrt(1.0 - 4.0 * math.exp(-2.0))
-    p = np.array([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
-    return math.fsum(v * math.log(v) ** 2 for v in p.tolist()), p

@@ -47,10 +47,9 @@ _REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense polynomial sum_m coeffs[m] * x**m attached to an interval."""
+    """Dense polynomial sum_m coeffs[m] * x**m."""
 
     coeffs: np.ndarray
-    interval: tuple[float, float]
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float).copy()
@@ -58,7 +57,6 @@ class Polynomial:
             raise ConfigurationError("polynomial coefficients must be a non-empty 1-d array")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
 
 
 @dataclass(frozen=True)
@@ -258,5 +256,5 @@ def _to_monomial(cheb_coef, lo, hi, L) -> Polynomial:
     px = pt(np.polynomial.Polynomial([b, s]))
     coeffs = np.zeros(L + 1)
     coeffs[: px.coef.size] = px.coef
-    return Polynomial(coeffs, (lo, hi))
+    return Polynomial(coeffs)
 

@@ -70,9 +70,9 @@ class DistributionSpec:
             if not 0.0 <= p <= 1.0:
                 raise ConfigurationError(f"two_spike mass must lie in [0, 1], got {p!r}")
         elif self.family in ("zipf", "dirichlet"):
-            if not self._param() > 0:
+            if not 0 < self._param() < math.inf:
                 raise ConfigurationError(
-                    f"{self.family} parameter must be positive, got {self._param()!r}"
+                    f"{self.family} parameter must be positive and finite, got {self._param()!r}"
                 )
 
     def _param(self) -> float:
@@ -100,7 +100,8 @@ class DistributionSpec:
             rng = np.random.default_rng(rng)
             p = rng.dirichlet(np.full(self.k, self._param()))
             p = p / math.fsum(p.tolist())
-        if abs(math.fsum(p.tolist()) - 1.0) > 1e-12:
+        # written so that a NaN sum fails too
+        if not abs(math.fsum(p.tolist()) - 1.0) <= 1e-12:
             raise ConfigurationError(
                 f"{self.label} vector left the simplex: sum={math.fsum(p.tolist())!r}"
             )

@@ -46,6 +46,14 @@ def check_schema(doc, command):
     jsonschema.validate(doc, schema)
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity (not JSON, RFC 8259)."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def point_mass_file(tmp_path):
     path = tmp_path / "point.csv"
@@ -495,6 +503,20 @@ class TestEstimateCommand:
         assert doc_h["config"]["input_kind"] == "histogram"
         assert doc_s["config"]["input_kind"] == "samples"
 
+    def test_infinite_estimate_prints_null(self, tmp_path, capsys):
+        # p^-0.5 is infinite at the unseen symbol 1, so the plugin sum is too
+        path = tmp_path / "gap.csv"
+        path.write_text("symbol,count\n0,5\n2,5\n")
+        code, out, _ = run_cli(
+            ["estimate", "--phi", "power:-0.5", "--input", str(path), "--estimator", "plugin",
+             "--c1", "0.9", "--c2", "0.5", "--allow-unvalidated"],
+            capsys,
+        )
+        assert code == 0
+        doc = strict_loads(out)
+        check_schema(doc, "estimate")
+        assert doc["estimate"] is None
+
     def test_recommended_estimator_used(self, uniform_file, capsys):
         # far-superlinear exponents default to the plugin
         code, out, _ = run_cli(
@@ -581,6 +603,14 @@ class TestApproxCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("interval", ["nan,1", "0,inf", "0.5,0.5"])
+    def test_nonfinite_or_empty_interval_exit_3(self, interval, capsys):
+        code, out, err = run_cli(
+            ["approx", "--phi", "shannon", "--L", "4", "--interval", interval], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bad interval ")
+
 
 class TestCheckSpeedCommand:
     def test_shannon_second_order(self, capsys):
@@ -599,6 +629,26 @@ class TestCheckSpeedCommand:
         check_schema(doc, "check-speed")
         assert doc["holds"] is True
         assert doc["W"] == pytest.approx(0.5, rel=1e-9)
+
+    def test_failed_fit_prints_null_not_infinity(self, capsys):
+        # the wrong alpha leaves c and c' infinite, which JSON cannot carry
+        code, out, _ = run_cli(
+            ["check-speed", "--phi", "power:0.5", "--ell", "1", "--alpha", "1.5"], capsys
+        )
+        assert code == 0
+        doc = strict_loads(out)
+        check_schema(doc, "check-speed")
+        assert doc["holds"] is False
+        assert (doc["c"], doc["c_prime"]) == (None, None)
+        assert doc["W"] > 0 and doc["spread"] > 0.03
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_nonfinite_alpha_exit_3(self, alpha, capsys):
+        code, out, err = run_cli(
+            ["check-speed", "--phi", "power:0.5", "--ell", "1", f"--alpha={alpha}"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: alpha must be finite, got {float(alpha)!r}\n"
 
 
 class TestLowerBoundCommand:
@@ -671,6 +721,17 @@ class TestLowerBoundCommand:
         assert (code, out) == (3, "")
         assert "k >= 2 and n >= 1" in err
 
+    def test_composite_tv_term_overflow_exit_3(self, capsys):
+        # k (2e n lam / (L k))^L = 2 * 3.9e9^56 at the default degree 56
+        code, out, err = run_cli(
+            ["lower-bound", "--phi", "shannon", "--k", "2", "--n", str(10**12),
+             "--construction", "composite", "--gap", "1e-30", "--lam", "0.08"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: tv_term ") and "overflows a float" in err
+        assert err.count("\n") == 1
+
 
 class TestPriorsCommand:
     def test_moment_pair_csv(self, tmp_path, capsys):
@@ -700,6 +761,27 @@ class TestPriorsCommand:
                   "--grid-size", "600", "--out", out_path])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_nonfinite_phi_exit_4(self, tmp_path, capsys):
+        # the same failure, and exit code, as approx on the same phi
+        code, out, err = run_cli(
+            ["priors", "--phi", "power:-0.5", "--L", "4", "--interval", "0,1",
+             "--out", str(tmp_path / "pair.csv")],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: f is not finite on the approximation interval\n"
+        assert not (tmp_path / "pair.csv").exists()
+
+    def test_infinite_interval_one_error_line(self, tmp_path):
+        # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+        proc = _run_child(
+            "import sys; from minifunc.cli import main; sys.exit(main(sys.argv[1:]))",
+            "priors", "--phi", "shannon", "--L", "3", "--interval", "0,inf",
+            "--out", str(tmp_path / "pair.csv"),
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: bad interval (0.0, inf)\n"
 
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         out_path = str(tmp_path / "missing" / "pair.csv")
@@ -796,12 +878,51 @@ class TestRiskSweepCommand:
         assert json.loads(out1)["slopes"] == json.loads(out2)["slopes"]
         assert json.loads(out1)["slopes"] == json.loads(out3)["slopes"]
 
-    def test_unwritable_out_exit_3(self, tmp_path, capsys):
-        out_path = str(tmp_path / "missing" / "sweep.csv")
-        code, out, err = run_cli(self._argv(out_path), capsys)
+    def test_unwritable_out_exit_3(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr("minifunc.cli.rate_sweep", no_sweep)
+        for out_path in (str(tmp_path / "missing" / "sweep.csv"), str(tmp_path)):
+            code, out, err = run_cli(self._argv(out_path), capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: cannot write {out_path}: ")
+            assert err.count("\n") == 1
+
+    def test_failed_sweep_keeps_existing_out(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        out_path.write_text("an earlier sweep\n")
+        argv = self._argv(str(out_path))
+        argv[argv.index("--phi") + 1] = "power:2.5"
+        code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, "")
-        assert err.startswith(f"error: cannot write {out_path}: ")
-        assert err.count("\n") == 1
+        assert "alpha" in err
+        assert out_path.read_text() == "an earlier sweep\n"
+
+    def test_nonfinite_family_param_exit_3(self, tmp_path, capsys):
+        for family in ("zipf", "dirichlet"):
+            code, out, err = run_cli(
+                ["risk-sweep", "--family", family, "--param", "inf", "--phi", "shannon",
+                 "--n-grid", "10,20,50,100", "--reps", "100",
+                 "--out", str(tmp_path / "x.csv")],
+                capsys,
+            )
+            assert (code, out) == (3, "")
+            assert err == f"error: {family} parameter must be positive and finite, got inf\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_flat_mse_slope_is_null(self, tmp_path, capsys):
+        # a point mass: the plugin is exact, its MSE is 0 and log MSE has no slope
+        code, out, _ = run_cli(
+            ["risk-sweep", "--family", "two_spike", "--param", "1", "--phi", "shannon",
+             "--n-grid", "10,20,50,100", "--reps", "100", "--out", str(tmp_path / "ts.csv")],
+            capsys,
+        )
+        assert code == 0
+        doc = strict_loads(out)
+        check_schema(doc, "risk-sweep")
+        assert doc["slopes"]["plugin"] is None
+        assert isinstance(doc["slopes"]["composite"], float)
 
     def test_short_grid_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -21,9 +21,7 @@ from minifunc.estimators import (
     corrected_plugin_estimate,
     default_config,
     default_correction_order,
-    factorial_moment,
     plain_plugin_estimate,
-    plugin_symbol_estimate,
     recommended_estimator,
     run_estimator,
     sample_histogram,
@@ -229,6 +227,12 @@ class TestHistogram:
         with pytest.raises(ConfigurationError, match="non-negative"):
             Histogram(counts=np.array([3, -1, 8]), n_nominal=10)
 
+    @pytest.mark.parametrize("counts", [np.array([], dtype=np.int64), np.ones((2, 2), dtype=np.int64)],
+                             ids=["empty", "2d"])
+    def test_rejects_empty_or_2d_counts(self, counts):
+        with pytest.raises(ConfigurationError, match="non-empty 1-d"):
+            Histogram(counts=counts, n_nominal=int(counts.sum()))
+
     def test_multinomial_sum_enforced(self):
         with pytest.raises(ConfigurationError, match="sum"):
             Histogram(counts=np.array([3, 5, 2]), n_nominal=11)
@@ -345,29 +349,6 @@ class TestSplitting:
         assert abs(int(split.est.counts[0]) - 500) < 5 * math.sqrt(500)
 
 
-class TestFactorialMoment:
-    def test_examples(self):
-        assert factorial_moment(5, 2) == 20.0
-        assert factorial_moment(3, 5) == 0.0
-        assert factorial_moment(7, 0) == 1.0
-
-    @given(st.integers(min_value=0, max_value=18), st.integers(min_value=0, max_value=18))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_falling_factorial(self, N, m):
-        # products below 2^53 round-trip exactly through float
-        assert factorial_moment(N, m) == float(math.perm(N, m))
-
-    def test_large_values_match_to_rounding(self):
-        for N, m in ((24, 20), (60, 35), (100, 12)):
-            assert factorial_moment(N, m) == pytest.approx(math.perm(N, m), rel=5e-13)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            factorial_moment(-1, 2)
-        with pytest.raises(ValueError):
-            factorial_moment(2, -1)
-
-
 class TestBestPolySymbol:
     def test_constant_approx_passes_through(self):
         approx = remez_best_approx(lambda x: 0.3, 0, (0.0, 1.0))
@@ -417,29 +398,28 @@ class TestBestPolySymbol:
                 assert abs(clamped - v) <= abs(x - v) + 1e-15
 
 
+def _plugin_symbol(N, n, phi, cfg):
+    # the composite's plugin branch for one symbol: phi_bar(N/n) at cfg's order
+    return float(bias_corrected_fn(phi, cfg.correction_order, cfg.delta(n), n, N / n))
+
+
 class TestPluginSymbol:
     def test_power2_full_count(self):
         cfg = _pinned_delta_config(100.0, 0.05)
         assert cfg.delta(100.0) == pytest.approx(0.05, rel=1e-15)
-        got = plugin_symbol_estimate(100, 100.0, power_functional(2.0), cfg)
+        got = _plugin_symbol(100, 100.0, power_functional(2.0), cfg)
         assert got == pytest.approx(PLUGIN_POWER2_FULL, rel=1e-12)
 
     def test_shannon_zero_count_hits_truncation_floor(self):
         cfg = _pinned_delta_config(100.0, 0.05)
-        got = plugin_symbol_estimate(0, 100.0, SH, cfg)
+        got = _plugin_symbol(0, 100.0, SH, cfg)
         assert got == pytest.approx(PLUGIN_SH_ZERO, rel=1e-12)
         assert got == pytest.approx(-0.05 * math.log(0.05), rel=1e-12)
 
     def test_shannon_half_count(self):
         cfg = _pinned_delta_config(100.0, 0.05)
-        got = plugin_symbol_estimate(50, 100.0, SH, cfg)
+        got = _plugin_symbol(50, 100.0, SH, cfg)
         assert got == pytest.approx(PLUGIN_SH_HALF, rel=1e-12)
-
-    def test_matches_scalar_correction(self):
-        cfg = EstimatorConfig(c1=0.9, c2=0.5)
-        got = plugin_symbol_estimate(30, 200.0, SH, cfg)
-        want = bias_corrected_fn(SH, 2, cfg.delta(200.0), 200.0, 0.15)
-        assert got == pytest.approx(want, rel=1e-14)
 
 
 def _mixed_split():
@@ -465,7 +445,7 @@ class TestComposite:
         split = SplitHistograms(est=est, sel=sel, n_effective=100.0)
         res = composite_estimate(split, SH, cfg)
         assert res.branch_counts == {"plugin": 4, "poly": 0}
-        want = math.fsum(plugin_symbol_estimate(int(N), 100.0, SH, cfg) for N in est.counts)
+        want = math.fsum(_plugin_symbol(int(N), 100.0, SH, cfg) for N in est.counts)
         assert res.estimate == pytest.approx(want, rel=1e-14)
 
     def test_all_poly_when_selector_is_zero(self):
@@ -509,7 +489,7 @@ class TestComposite:
         terms = []
         for N_est, N_sel in zip(split.est.counts, split.sel.counts):
             if N_sel >= res.threshold:
-                terms.append(plugin_symbol_estimate(int(N_est), 100.0, phi, cfg))
+                terms.append(_plugin_symbol(int(N_est), 100.0, phi, cfg))
             else:
                 terms.append(best_poly_symbol_estimate(int(N_est), 100.0, approx, clamp))
         assert res.estimate == pytest.approx(math.fsum(terms), rel=1e-13)

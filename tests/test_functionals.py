@@ -255,6 +255,11 @@ class TestDivergenceSpeed:
         assert r.witness is not None
         assert r.spread > 0.03
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            check_divergence_speed(SH, 2, alpha=alpha)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
     def test_power_sandwich_tight(self, alpha):
         # c and c' vanish up to round-off against the huge envelope peak

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev
 
+from minifunc.errors import ConfigurationError
 from minifunc.functionals import power_functional, shannon_functional
 from minifunc.polyapprox import remez_best_approx
 
@@ -65,4 +66,11 @@ class TestRemez:
     def test_nonfinite_rejected(self):
         with pytest.raises(Exception, match="finite"):
             remez_best_approx(power_functional(-0.5), 3, (0.0, 1.0))
+
+    def test_bad_degree_or_interval_rejected(self):
+        with pytest.raises(ConfigurationError, match="degree must be >= 0"):
+            remez_best_approx(SH, -1, (0.0, 1.0))
+        for interval in ((math.nan, 1.0), (0.0, math.inf), (0.5, 0.5)):
+            with pytest.raises(ConfigurationError, match="bad interval"):
+                remez_best_approx(SH, 3, interval)
 

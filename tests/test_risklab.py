@@ -96,8 +96,20 @@ class TestDistributionSpec:
             DistributionSpec("two_spike", 1)
         with pytest.raises(ConfigurationError, match="positive"):
             DistributionSpec("zipf", 4, param=0.0)
+        for family in ("zipf", "dirichlet"):
+            for param in (math.inf, math.nan):
+                with pytest.raises(ConfigurationError, match="positive and finite"):
+                    DistributionSpec(family, 4, param=param)
         with pytest.raises(ConfigurationError, match="0, 1"):
             DistributionSpec("two_spike", 4, param=1.5)
+
+    def test_nan_vector_leaves_the_simplex(self):
+        # past the parameter check, numpy's dirichlet at an infinite
+        # concentration returns NaNs; the simplex check must catch them
+        spec = DistributionSpec("dirichlet", 4, param=1.0)
+        object.__setattr__(spec, "param", math.inf)
+        with pytest.raises(ConfigurationError, match="left the simplex"):
+            spec.probability_vector(rng=0)
 
 
 class TestRiskReport:
@@ -155,6 +167,11 @@ class TestMonteCarloRisk:
             monte_carlo_risk(spec, SH, "bootstrap", 100, reps=100)
         with pytest.raises(ConfigurationError, match="jobs"):
             monte_carlo_risk(spec, SH, "plugin", 100, reps=100, jobs=0)
+        for n in (0, -3):
+            with pytest.raises(ConfigurationError, match="sample size must be >= 1"):
+                monte_carlo_risk(spec, SH, "plugin", n, reps=100)
+        with pytest.raises(ConfigurationError, match="master_seed must be >= 0"):
+            monte_carlo_risk(spec, SH, "plugin", 100, reps=100, master_seed=-1)
 
     def test_miller_bias_matches_expansion(self):
         # plugin entropy bias at uniform is -(k-1)/2n to leading order
@@ -341,6 +358,8 @@ class TestRateSweep:
             rate_sweep("uniform", SH, ["plugin"], [100, 200, 300, 400])
         with pytest.raises(ConfigurationError, match="estimator"):
             rate_sweep("uniform", SH, ["oracle"], [100, 200, 500, 1000])
+        with pytest.raises(ConfigurationError, match="values must be >= 2"):
+            rate_sweep("uniform", SH, ["plugin"], [1, 20, 50, 100])
 
     def test_empty_estimator_list(self):
         with pytest.raises(ConfigurationError, match="at least one"):
