@@ -129,10 +129,10 @@ class EstimatorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.c1 > 0:
-            raise ConfigurationError(f"C1 must be positive, got {self.c1!r}")
-        if not self.c2 > 0:
-            raise ConfigurationError(f"C2 must be positive, got {self.c2!r}")
+        if not 0 < self.c1 < math.inf:
+            raise ConfigurationError(f"C1 must be positive and finite, got {self.c1!r}")
+        if not 0 < self.c2 < math.inf:
+            raise ConfigurationError(f"C2 must be positive and finite, got {self.c2!r}")
         if self.correction_order not in (2, 4):
             raise ConfigurationError(
                 f"correction_order must be 2 or 4, got {self.correction_order!r}"

@@ -389,14 +389,23 @@ _GOLDEN_STEPS = 70
 def _golden_max(g, a, b):
     """Batched golden-section maximisation of g over the brackets [a_j, b_j].
 
-    g is vectorised over the bracket arrays; >= keeps the left subinterval
-    on ties, so equal extrema resolve leftmost.  Returns the midpoints of
-    the final brackets after _GOLDEN_STEPS steps.
+    g is vectorised over the bracket arrays and called once per step: the
+    kept subinterval's interior point that the last step already
+    evaluated is reused.  >= keeps the left subinterval on ties, so equal
+    extrema resolve leftmost.  Returns the midpoints of the final
+    brackets after _GOLDEN_STEPS steps.
     """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    gc, gd = g(c), g(d)
     for _ in range(_GOLDEN_STEPS):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        take_left = g(c) >= g(d)
+        take_left = gc >= gd
+        # left keeps [a, d], whose upper interior point is c; right keeps
+        # [c, b], whose lower interior point is d
         b = np.where(take_left, d, b)
         a = np.where(take_left, a, c)
+        x = np.where(take_left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        gx = g(x)
+        c, d = np.where(take_left, x, d), np.where(take_left, c, x)
+        gc, gd = np.where(take_left, gx, gd), np.where(take_left, gc, gx)
     return 0.5 * (a + b)

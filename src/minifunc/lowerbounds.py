@@ -394,7 +394,10 @@ def composite_lower_bound(
         checks.append(f"condition 1: lam = {lam:.6g} > 1/12")
     if condition == 0:
         if lam <= math.sqrt(k) / 12.0:
-            g = lam / (2.0 * L**2 * k)
+            try:
+                g = lam / (2.0 * L**2 * k)
+            except OverflowError:  # L**2 past the float range: gamma underflows
+                g = 0.0
             if 0.0 < g < lam / k and g < 1.0:
                 approx = remez_best_approx(_over_x(fn), L, (g, lam / k))
                 e_l = approx.sup_error
@@ -444,6 +447,9 @@ def composite_lower_bound(
     )
 
 
+_HOELDER_ROWS = 64
+
+
 def hoelder_norm(f, beta: float) -> float:
     """Grid estimate of sup |f(x)-f(y)| / |x-y|^beta over [0, 1].
 
@@ -458,11 +464,15 @@ def hoelder_norm(f, beta: float) -> float:
     u_geom = np.geomspace(1e-14, 1.0, 384)
     x = np.unique(np.concatenate([[0.0], u_cheb, u_geom]))
     fx = np.asarray(fn(x), dtype=float)
-    dx = np.abs(x[:, None] - x[None, :])
-    df = np.abs(fx[:, None] - fx[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dx > 0.0, df / dx**beta, 0.0)
-    return float(np.nanmax(ratio))
+    # in row blocks: the full pair matrices would take 10 MB each; every
+    # row holds its diagonal 0, so no block is all NaN
+    block_max = []
+    for i in range(0, x.size, _HOELDER_ROWS):
+        dx = np.abs(x[i : i + _HOELDER_ROWS, None] - x[None, :])
+        df = np.abs(fx[i : i + _HOELDER_ROWS, None] - fx[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block_max.append(np.nanmax(np.where(dx > 0.0, df / dx**beta, 0.0)))
+    return float(np.nanmax(block_max))
 
 
 def log_speed_constants(phi: Functional):

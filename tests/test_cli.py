@@ -54,6 +54,13 @@ def strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
+def fast_read(tmp_path, text, k):
+    """_read_table on text written to a file, as read_counts calls it."""
+    path = tmp_path / "fast.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return _read_table(str(path), text, os.stat(path), k)
+
+
 @pytest.fixture
 def point_mass_file(tmp_path):
     path = tmp_path / "point.csv"
@@ -276,12 +283,12 @@ class TestReadCounts:
         assert outcome(read_counts, str(path), k) == expect
         assert outcome(_read_lines, text.splitlines(), k) == expect
 
-    def test_fast_path_reads_plain_inputs(self):
-        assert _read_table("symbol,count\n0,3\n2,5\n", None)[1] == "histogram"
-        assert _read_table("0\n2\n2\n", None)[1] == "samples"
-        assert _read_table("symbol,count\n0,3\n \n2,5\n", None) is None
+    def test_fast_path_reads_plain_inputs(self, tmp_path):
+        assert fast_read(tmp_path, "symbol,count\n0,3\n2,5\n", None)[1] == "histogram"
+        assert fast_read(tmp_path, "0\n2\n2\n", None)[1] == "samples"
+        assert fast_read(tmp_path, "symbol,count\n0,3\n \n2,5\n", None) is None
 
-    def test_fast_path_never_disagrees_on_random_inputs(self):
+    def test_fast_path_never_disagrees_on_random_inputs(self, tmp_path):
         # wherever the vectorised reader answers, the per-line parsers agree
         rng = random.Random(5)
         numbers = ["0", "1", "3", "17", "+4", "-2", "1_0", "2.0", "9223372036854775808",
@@ -301,7 +308,7 @@ class TestReadCounts:
             if any(10**6 <= int(m) < 2**62 for m in re.findall("[0-9]+", text)):
                 continue  # an alphabet that large would really be allocated
             k = rng.choice([None, None, 4, 40])
-            got = _read_table(text, k)
+            got = fast_read(tmp_path, text, k)
             if got is None:
                 continue
             fast += 1
@@ -333,6 +340,80 @@ class TestReadCounts:
         path.write_text("symbol,count\n0,3\n")
         with pytest.raises(ConfigurationError, match="too large to allocate"):
             read_counts(str(path), k_override=2**62)
+
+    @pytest.mark.parametrize(
+        "text, fast, expect",
+        [
+            ("symbol,count\r\n0,3\r\n2,5\r\n", True, ("histogram", [3, 0, 5])),
+            ("2\r\n0\r\n2\r\n", True, ("samples", [1, 0, 2])),
+            ("\n \r\n\t\n\x0c\nsymbol,count\n0,3\n1,4\n", True, ("histogram", [3, 4])),
+            ("\n\n2\n0\n", True, ("samples", [1, 0, 1])),
+            ("symbol,count\r0,3\r1,4\r", False, ("histogram", [3, 4])),
+            ("symbol,count\n0,3\r1,4\n", False, ("histogram", [3, 4])),
+            ("\rsymbol,count\n0,3\n", False, ("histogram", [3])),
+            ("2\r0\r\n2\n", False, ("samples", [1, 0, 2])),
+        ],
+        ids=["crlf", "samples-crlf", "blank-lines-before-header", "samples-blank-lines-first",
+             "lone-cr", "lone-cr-in-body", "lone-cr-before-header", "samples-lone-cr"],
+    )
+    def test_path_reader_line_endings(self, tmp_path, text, fast, expect):
+        # numpy reads the file in text mode, which ends a line at a lone CR too;
+        # such a file goes to the per-line parser
+        got = fast_read(tmp_path, text, None)
+        assert (got is not None) == fast
+        if got is not None:
+            assert (got[1], got[0].tolist()) == expect
+        counts, kind = read_counts(str(tmp_path / "fast.txt"))
+        assert (kind, counts.tolist()) == expect
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_plain_text(self, tmp_path, suffix):
+        # numpy's file reader would decompress by suffix and fail on plain text
+        path = tmp_path / f"counts{suffix}"
+        path.write_text("symbol,count\n0,3\n2,5\n")
+        assert _read_table(str(path), path.read_text(), os.stat(path), None) is None
+        counts, kind = read_counts(str(path))
+        assert (kind, counts.tolist()) == ("histogram", [3, 0, 5])
+
+    @pytest.mark.parametrize("change", ["appended", "rewritten", "replaced"])
+    def test_file_changed_after_read_falls_back(self, tmp_path, change):
+        path = tmp_path / "h.csv"
+        text = "symbol,count\n0,3\n"
+        path.write_text(text)
+        before = os.stat(path)
+        if change == "appended":
+            path.write_text(text + "1,4\n")
+        elif change == "rewritten":
+            path.write_text("symbol,count\n0,7\n")
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        else:
+            other = tmp_path / "new.csv"
+            other.write_text("symbol,count\n0,7\n")
+            os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+            os.replace(other, path)
+        assert _read_table(str(path), text, before, None) is None
+        assert _read_table(str(path), path.read_text(), os.stat(path), None) is not None
+
+    def test_named_pipe_is_read_once(self, tmp_path):
+        # reopening the drained FIFO would wait for a writer that is gone
+        fifo = tmp_path / "counts.fifo"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(
+            ["sh", "-c", 'printf "symbol,count\\n0,3\\n1,1\\n" > "$0"', str(fifo)]
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(minifunc.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "minifunc.cli", "estimate", "--phi", "shannon",
+                 "--input", str(fifo), "--estimator", "plugin"],
+                capture_output=True, text=True, env=env, timeout=30,
+            )
+        finally:
+            writer.kill()
+            writer.wait(timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["config"]["input_kind"], doc["config"]["k"]) == ("histogram", 2)
 
 
 class TestEstimateCommand:
@@ -444,6 +525,16 @@ class TestEstimateCommand:
         assert code == 0
         warnings = [w for w in json.loads(out)["warnings"] if w.startswith("admissibility: ")]
         assert bool(warnings) == warned
+
+    @pytest.mark.parametrize("c1, c2", [("inf", "0.5"), ("0.9", "inf")])
+    def test_infinite_constants_exit_3(self, uniform_file, capsys, c1, c2):
+        code, out, err = run_cli(
+            ["estimate", "--phi", "shannon", "--input", uniform_file, "--c1", c1, "--c2", c2,
+             "--allow-unvalidated", "--estimator", "composite"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert "must be positive and finite, got inf" in err
 
     def test_half_explicit_constants(self, uniform_file, capsys):
         code, _, err = run_cli(
@@ -603,6 +694,35 @@ class TestApproxCommand:
         )
         assert code == 4
 
+    def test_unconverged_exit_4(self, capsys, monkeypatch):
+        def solve(f, L, interval):
+            return dataclasses.replace(remez_best_approx(f, L, interval), converged=False)
+
+        monkeypatch.setattr("minifunc.cli.remez_best_approx", solve)
+        code, out, err = run_cli(
+            ["approx", "--phi", "shannon", "--L", "6", "--interval", "0,1"], capsys
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: best-approximation search did not converge at degree 6")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("L, floor", [("8", False), ("32", True), ("40", True)])
+    def test_reports_roundoff_floor_stop(self, capsys, L, floor):
+        code, out, _ = run_cli(
+            ["approx", "--phi", "power:1.5", "--L", L, "--interval", "0,1"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        check_schema(doc, "approx")
+        assert doc["converged"] is True
+        assert doc["at_roundoff_floor"] is floor
+
+    @pytest.mark.parametrize("L", [str(2**63), str(10**400)])
+    def test_degree_too_large_exit_3(self, capsys, L):
+        code, out, err = run_cli(["approx", "--phi", "shannon", "--L", L], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: degree {L} is too large to allocate\n"
+
     @pytest.mark.parametrize("interval", ["nan,1", "0,inf", "0.5,0.5"])
     def test_nonfinite_or_empty_interval_exit_3(self, interval, capsys):
         code, out, err = run_cli(
@@ -720,6 +840,18 @@ class TestLowerBoundCommand:
         )
         assert (code, out) == (3, "")
         assert "k >= 2 and n >= 1" in err
+
+    @pytest.mark.parametrize("lam", [[], ["--lam", "0.1"]], ids=["condition-1", "condition-2"])
+    def test_composite_degree_too_large_exit_3(self, capsys, lam):
+        # condition 2 needs gamma = lam / (2 L^2 k), which underflows to 0 here
+        code, out, err = run_cli(
+            ["lower-bound", "--phi", "shannon", "--k", "100", "--n", "1000",
+             "--construction", "composite", "--gap", "1e-30", "--degree", str(10**400), *lam],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert ("too large to allocate" if not lam else "degenerate interval") in err
 
     def test_composite_tv_term_overflow_exit_3(self, capsys):
         # k (2e n lam / (L k))^L = 2 * 3.9e9^56 at the default degree 56

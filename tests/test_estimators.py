@@ -182,6 +182,9 @@ class TestEstimatorConfig:
             EstimatorConfig(c1=0.1, c2=-1.0)
         with pytest.raises(ConfigurationError):
             EstimatorConfig(c1=0.1, c2=1.0, correction_order=3)
+        for c1, c2 in ((math.inf, 0.5), (0.9, math.inf), (math.nan, 0.5), (0.9, math.nan)):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                EstimatorConfig(c1=c1, c2=c2)
 
     def test_derived_quantities_at_n100(self):
         cfg = EstimatorConfig(c1=0.9, c2=0.5)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from minifunc.errors import ConfigurationError, FunctionalDomainError
 from minifunc.functionals import (
+    _GOLDEN_STEPS,
     ProbabilityVector,
+    _golden_max,
     additive_functional,
     bias_corrected_fn,
     check_divergence_speed,
@@ -287,6 +289,18 @@ class TestRangeOnInterval:
     def test_empty_interval(self):
         with pytest.raises(ConfigurationError, match="interval"):
             range_on_interval(SH, (0.5, 0.5))
+
+
+def test_golden_max_one_call_per_step():
+    calls = []
+
+    def g(x):
+        calls.append(x.size)
+        return -((x - np.array([0.3, 0.7])) ** 2)
+
+    t = _golden_max(g, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    assert t == pytest.approx([0.3, 0.7], abs=1e-12)
+    assert calls == [2] * (_GOLDEN_STEPS + 2)
 
 
 def test_domain_errors_print_plain_floats():

@@ -511,6 +511,23 @@ class TestFittedConstants:
     def test_hoelder_power_half(self):
         assert hoelder_norm(power_functional(0.5), 0.5) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "phi, beta",
+        [(power_functional(0.5), 0.5), (power_functional(0.3), 0.3), (SH, 0.9),
+         (power_functional(1.5), 1.0)],
+        ids=["p0.5", "p0.3", "shannon", "p1.5"],
+    )
+    def test_hoelder_matches_dense_pair_matrix(self, phi, beta):
+        # the row-blocked maximum equals the one over the whole pair matrix
+        u_cheb = 0.5 * (1.0 - np.cos(np.pi * np.arange(768) / 767))
+        x = np.unique(np.concatenate([[0.0], u_cheb, np.geomspace(1e-14, 1.0, 384)]))
+        fx = phi.eval(x)
+        dx = np.abs(x[:, None] - x[None, :])
+        df = np.abs(fx[:, None] - fx[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dense = float(np.nanmax(np.where(dx > 0.0, df / dx**beta, 0.0)))
+        assert hoelder_norm(phi, beta) == dense
+
     def test_hoelder_beta_validation(self):
         with pytest.raises(ConfigurationError, match="beta"):
             hoelder_norm(SH, 0.0)

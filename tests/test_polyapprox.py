@@ -34,7 +34,7 @@ class TestRemez:
     def test_equioscillation_certificate(self):
         for phi, L in ((SH, 6), (power_functional(0.5), 9)):
             r = remez_best_approx(phi, L, (0.0, 1.0))
-            assert r.converged
+            assert r.converged and not r.at_roundoff_floor
             pts = r.alternation_points
             assert pts.size == L + 2
             assert np.all(np.diff(pts) > 0)
@@ -70,7 +70,23 @@ class TestRemez:
     def test_bad_degree_or_interval_rejected(self):
         with pytest.raises(ConfigurationError, match="degree must be >= 0"):
             remez_best_approx(SH, -1, (0.0, 1.0))
+        # np.arange raises at 2**62 and 10**400 but returns an empty array at 2**63
+        for L in (2**62, 2**63, 10**400):
+            with pytest.raises(ConfigurationError, match="too large to allocate"):
+                remez_best_approx(SH, L, (0.0, 1.0))
         for interval in ((math.nan, 1.0), (0.0, math.inf), (0.5, 0.5)):
             with pytest.raises(ConfigurationError, match="bad interval"):
                 remez_best_approx(SH, 3, interval)
 
+
+    @pytest.mark.parametrize("L", [32, 40])
+    def test_converges_at_roundoff_floor(self, L):
+        # E_L(p^1.5, [0,1]) is about 2e-6 here, so residuals carry about
+        # (L+2) eps / E_L = 3e-9 of relative noise: no reference levels
+        # them to 1e-10, and the floor stops the exchange
+        r = remez_best_approx(power_functional(1.5), L, (0.0, 1.0))
+        assert r.converged and r.at_roundoff_floor
+        assert r.iterations < 10
+        mags = np.abs(r.alternation_residuals)
+        floor = (L + 2) * np.finfo(float).eps / r.sup_error
+        assert 1e-10 <= r.sup_error / mags.min() - 1.0 < floor
