@@ -21,9 +21,7 @@ import json
 import math
 import os
 import re
-import stat
 import sys
-import warnings
 from importlib import resources
 
 import numpy as np
@@ -32,7 +30,6 @@ from .errors import (
     ConfigurationError,
     InputFormatError,
     MinifuncError,
-    NumericalError,
 )
 from .estimators import (
     ESTIMATORS,
@@ -56,7 +53,7 @@ from .lowerbounds import (
     moment_matched_pair,
     tilted_pair,
 )
-from .polyapprox import remez_best_approx
+from .polyapprox import _check_converged, remez_best_approx
 from .risklab import rate_sweep
 
 __all__ = ["main", "parse_phi", "read_counts", "schema_path"]
@@ -128,11 +125,11 @@ def read_counts(path: str, k_override: int | None = None) -> tuple[np.ndarray, s
     plus one unless k_override says otherwise (zero-count symbols are
     real symbols).  Returns (counts, kind) with kind 'histogram' or
     'samples'; for samples the number of lines is the sample size.  A
-    histogram's counts total below 2**63, so counts.sum() is exact.
+    histogram's counts total below 2**63, so counts.sum() is exact.  The
+    file is read once; both parsers work on the bytes read.
     """
     try:
         with open(path, "rb") as fh:
-            before = os.fstat(fh.fileno())
             data = fh.read()
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from None
@@ -144,79 +141,53 @@ def read_counts(path: str, k_override: int | None = None) -> tuple[np.ndarray, s
         raise InputFormatError(
             f"byte 0x{data[e.start]:02x} at offset {e.start} is not valid UTF-8", line=line
         ) from None
-    return _read_table(path, text, before, k_override) or _read_lines(text.splitlines(), k_override)
+    return _read_table(data, k_override) or _read_lines(text.splitlines(), k_override)
 
 
-# ASCII controls that numpy's reader strips from a field but that
-# str.splitlines() breaks a line at or int() rejects.
-_FIELD_BLANKS = "\x0b\x0c\x1c\x1d\x1e\x1f"
+def _read_table(data: bytes, k_override: int | None) -> tuple[np.ndarray, str] | None:
+    """Vectorised read_counts on the file's bytes for the plain format, or None.
 
-# numpy's file reader decompresses a file with one of these suffixes
-_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
-
-
-def _file_identity(st: os.stat_result) -> tuple:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _read_table(
-    path: str, text: str, before: os.stat_result, k_override: int | None
-) -> tuple[np.ndarray, str] | None:
-    """Vectorised read_counts for a well-formed regular file, or None.
-
-    text is the file's decoded content and before its stat when it was
-    read.  numpy's chunked C reader parses the file from its path in one
-    call (given text, numpy parses line by line, about 2.5x slower).
-    Whatever the reader or the checks after it reject (blank-but-not-
-    empty lines, comments, bad fields, negatives, duplicates, a k too
+    The plain format is ASCII: after the header line (histogram) or any
+    leading whitespace (samples), lines of 'digits,digits' or 'digits'
+    ending in LF or CRLF, the last line end optional.  numpy parses such
+    a body in one call.  Whatever is not plain (blank lines in the body,
+    signs, spaces, a lone CR, a non-ASCII byte) or fails the checks after
+    the parse (duplicates, a value numpy saturates at 2**63 - 1, a k too
     small or too large, a total that may not fit int64) returns None, and
     the per-line parsers then give the same counts or the error with its
-    line number.  So does a file the reader would see differently from
-    text: not a regular file, a compressed suffix, a lone CR (text mode
-    reads it as a line end) or a file changed since it was read.
+    line number.
     """
-    start = len(text) - len(text.lstrip())
-    end = text.find("\n", start)
-    if end < 0:
-        end = len(text)
-    histogram = text[start:end].strip().replace(" ", "").lower() == "symbol,count"
-    # the parsed part starts after the header line, or is the whole file;
-    # the checks on it copy it only when the whole file is not ASCII
-    offset = end + 1 if histogram else 0
-    if (
-        not stat.S_ISREG(before.st_mode)
-        or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES
-        or ("\r" in text and text.count("\r") != text.count("\r\n"))
-        # numpy's reader also reads digits that int() does not, such as a circled 5
-        or not (text.isascii() or text[offset:].isascii())
-        or any(text.find(ch, offset) >= 0 for ch in _FIELD_BLANKS)
-    ):
-        return None
-    try:
-        with warnings.catch_warnings():
-            # an empty body only warns
-            warnings.simplefilter("error", UserWarning)
-            table = np.loadtxt(
-                # absolute, so numpy never takes a 'scheme://host/...' path for a URL
-                os.path.abspath(path),
-                dtype=np.int64,
-                delimiter=",",
-                comments=None,
-                skiprows=text.count("\n", 0, end) + 1 if histogram else 0,
-                encoding="utf-8",
-                ndmin=2,
-            )
-        if _file_identity(os.stat(path)) != _file_identity(before):
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
             return None
-    except (OSError, ValueError, UserWarning):
+    body = data.lstrip()
+    end = body.find(b"\n")
+    if end < 0:
+        end = len(body)
+    histogram = body[:end].strip().replace(b" ", b"").lower() == b"symbol,count"
+    if histogram:
+        body = body[end + 1 :]
+    if not body:
         return None
-    if table.shape[1] != (2 if histogram else 1) or table.min() < 0:
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    width = 2 if histogram else 1
+    skeleton = body.translate(None, b"0123456789")
+    rows = len(skeleton) // width
+    if skeleton != (b",\n" if histogram else b"\n") * rows:
         return None
+    # fields hold only digits, so an empty one is the only way numpy
+    # can return fewer values than fields
+    table = np.fromstring(body.replace(b",", b" "), dtype=np.int64, sep=" ")
+    if table.size != width * rows or table.max() == _INT64_MAX:
+        return None
+    table = table.reshape(rows, width)
     symbols = table[:, 0]
     if histogram:
         # on 1e6 distinct symbols np.unique takes about 1 s, np.sort about 15 ms
         ordered = np.sort(symbols)
-        if (ordered[1:] == ordered[:-1]).any() or table[:, 1].max() > _INT64_MAX // len(table):
+        if (ordered[1:] == ordered[:-1]).any() or table[:, 1].max() > _INT64_MAX // rows:
             return None
         max_symbol = int(ordered[-1])
     else:
@@ -438,12 +409,7 @@ def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
 
 def _cmd_approx(args, phi: Functional) -> tuple[dict, dict]:
     interval = _parse_interval(args.interval)
-    result = remez_best_approx(phi.eval, args.L, interval)
-    if not result.converged:
-        raise NumericalError(
-            f"best-approximation search did not converge at degree {args.L} "
-            f"after {result.iterations} exchanges"
-        )
+    result = _check_converged(remez_best_approx(phi.eval, args.L, interval), args.L)
     return {"L": args.L, "interval": list(interval)}, {
         "sup_error": result.sup_error,
         "coefficients": [float(c) for c in result.poly.coeffs],
@@ -566,7 +532,6 @@ def _cmd_risk_sweep(args, phi: Functional) -> tuple[dict, dict]:
         reps=args.reps,
         param=args.param,
         master_seed=args.seed,
-        model=args.model,
         jobs=args.jobs,
     )
     _write_out(args.out, result.to_csv())
@@ -577,7 +542,6 @@ def _cmd_risk_sweep(args, phi: Functional) -> tuple[dict, dict]:
         "k_rule": args.k_rule,
         "reps": args.reps,
         "estimators": estimators,
-        "model": args.model,
         "jobs": args.jobs,
     }
     return params, {
@@ -649,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-rule", default="n")
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--estimators", default="plugin,composite")
-    p.add_argument("--model", choices=["multinomial", "poissonized"], default="multinomial")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_risk_sweep)

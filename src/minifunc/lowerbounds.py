@@ -24,7 +24,7 @@ from .functionals import (
     additive_functional,
     as_prob_array,
 )
-from .polyapprox import remez_best_approx
+from .polyapprox import _check_converged, remez_best_approx
 
 __all__ = [
     "divergence",
@@ -384,7 +384,7 @@ def composite_lower_bound(
     gamma = None
     e_l = float("nan")
     if lam <= 1.0 / 12.0:
-        approx = remez_best_approx(fn, L, (0.0, lam / k))
+        approx = _check_converged(remez_best_approx(fn, L, (0.0, lam / k)), L)
         e_l = approx.sup_error
         lhs = 2.0 * k * e_l
         checks.append(f"condition 1: 2k E_L = {lhs:.6g} vs d = {d:.6g}")
@@ -399,7 +399,7 @@ def composite_lower_bound(
             except OverflowError:  # L**2 past the float range: gamma underflows
                 g = 0.0
             if 0.0 < g < lam / k and g < 1.0:
-                approx = remez_best_approx(_over_x(fn), L, (g, lam / k))
+                approx = _check_converged(remez_best_approx(_over_x(fn), L, (g, lam / k)), L)
                 e_l = approx.sup_error
                 lhs = 2.0 * k * g * e_l
                 checks.append(f"condition 2: 2k gamma E_L = {lhs:.6g} vs d = {d:.6g}")

@@ -121,10 +121,13 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
         return out
 
     m_ref = L + 2
-    # past this size np.arange raises ValueError or, for some sizes,
-    # returns an empty array
-    if m_ref > sys.maxsize // 8:
-        raise ConfigurationError(f"degree {L} is too large to allocate")
+    # the levelled system, filled on each exchange; allocated first, as
+    # the largest array of the solve, so a degree too large fails here
+    # before the 8(L+2)-point scan is built
+    try:
+        A = np.empty((m_ref, m_ref))
+    except (ValueError, OverflowError, MemoryError):
+        raise ConfigurationError(f"degree {L} is too large to allocate") from None
     ref = -np.cos(np.pi * np.arange(m_ref) / (m_ref - 1))
     signs = (-1.0) ** np.arange(m_ref)
     # doubly clustered base scan: residual extrema of endpoint-singular
@@ -140,8 +143,8 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
     sup_error = math.inf
 
     for iterations in range(1, _MAX_EXCHANGES + 1):
-        V = _cheb.chebvander(ref, L)
-        A = np.hstack([V, signs[:, None]])
+        A[:, : L + 1] = _cheb.chebvander(ref, L)
+        A[:, L + 1] = signs
         y = ft(ref)
         if not np.all(np.isfinite(y)):
             raise NumericalError("f is not finite on the approximation interval")
@@ -208,6 +211,16 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
         alternation_residuals=final_resid,
         at_roundoff_floor=at_floor,
     )
+
+
+def _check_converged(result: ApproxResult, L: int) -> ApproxResult:
+    """result, or NumericalError when its exchange did not converge."""
+    if not result.converged:
+        raise NumericalError(
+            f"best-approximation search did not converge at degree {L} "
+            f"after {result.iterations} exchanges"
+        )
+    return result
 
 
 def _cheb_eval(t, coef):

@@ -175,7 +175,7 @@ def _run_task(i: int) -> float:
     return run_rep(r)
 
 
-def _cell(spec, estimator, n, phi, cfg, master_seed, model):
+def _cell(spec, estimator, n, phi, cfg, master_seed):
     """theta and the rep function of one (spec, estimator, n) cell."""
     est_idx = ESTIMATORS.index(estimator)
     dist_rng = np.random.default_rng(
@@ -187,7 +187,7 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, model):
         rng = np.random.default_rng(
             np.random.SeedSequence((master_seed, n, spec.k, est_idx, r))
         )
-        h = sample_histogram(P, n, model=model, rng=rng)
+        h = sample_histogram(P, n, rng=rng)
         try:
             return run_estimator(estimator, h, phi, cfg, rng).estimate
         except MinifuncError as e:
@@ -198,7 +198,7 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, model):
     return additive_functional(P, phi), run_rep
 
 
-def _simulate(cells, phi, reps, master_seed, model, jobs) -> list[RiskReport]:
+def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
     """One RiskReport per (spec, estimator, n) cell, in cell order.
 
     The (cell, rep) tasks are laid out, and their estimates collected,
@@ -222,7 +222,7 @@ def _simulate(cells, phi, reps, master_seed, model, jobs) -> list[RiskReport]:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     cfg = tuned_config(phi.alpha)
     thetas, run_reps = zip(
-        *(_cell(spec, est, n, phi, cfg, master_seed, model) for spec, est, n in cells)
+        *(_cell(spec, est, n, phi, cfg, master_seed) for spec, est, n in cells)
     )
     tasks = [(run_rep, r) for run_rep in run_reps for r in range(reps)]
 
@@ -273,12 +273,11 @@ def monte_carlo_risk(
     n: int,
     reps: int = 1000,
     master_seed: int = 0,
-    model: str = "multinomial",
     jobs: int = 1,
 ) -> RiskReport:
     """Estimate E[(theta_hat - theta)^2] at one distribution by simulation.
 
-    Each rep draws a fresh histogram and runs the named estimator
+    Each rep draws a fresh multinomial histogram and runs the named estimator
     ('plugin', 'corrected', or 'composite') with tuned_config(phi.alpha)
     constants; rep r is seeded from (master_seed, n, k, estimator index,
     r), so a longer run extends a shorter one sample-for-sample and the
@@ -288,7 +287,7 @@ def monte_carlo_risk(
     fork is unavailable.  Estimator failures are re-raised with the rep
     index.
     """
-    return _simulate([(spec, estimator, n)], phi, reps, master_seed, model, jobs)[0]
+    return _simulate([(spec, estimator, n)], phi, reps, master_seed, jobs)[0]
 
 
 def theoretical_rate(alpha: float, n: int, k: int) -> float:
@@ -394,7 +393,6 @@ def rate_sweep(
     reps: int = 1000,
     param: float | None = None,
     master_seed: int = 0,
-    model: str = "multinomial",
     jobs: int = 1,
 ) -> SweepResult:
     """Monte Carlo risk across an n-grid with k tied to n by k_rule.
@@ -421,7 +419,7 @@ def rate_sweep(
     theory = [theoretical_rate(phi.alpha, n, spec.k) for n, spec in zip(ns, specs)]
 
     grid = [(spec, est, n, rate) for n, spec, rate in zip(ns, specs, theory) for est in estimators]
-    reports = _simulate([cell[:3] for cell in grid], phi, reps, master_seed, model, jobs)
+    reports = _simulate([cell[:3] for cell in grid], phi, reps, master_seed, jobs)
     rows = [
         SweepRow(
             family=spec.label,

@@ -54,11 +54,9 @@ def strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
-def fast_read(tmp_path, text, k):
-    """_read_table on text written to a file, as read_counts calls it."""
-    path = tmp_path / "fast.txt"
-    path.write_bytes(text.encode("utf-8"))
-    return _read_table(str(path), text, os.stat(path), k)
+def fast_read(text, k):
+    """_read_table on the UTF-8 bytes of text, as read_counts calls it."""
+    return _read_table(text.encode("utf-8"), k)
 
 
 @pytest.fixture
@@ -283,12 +281,12 @@ class TestReadCounts:
         assert outcome(read_counts, str(path), k) == expect
         assert outcome(_read_lines, text.splitlines(), k) == expect
 
-    def test_fast_path_reads_plain_inputs(self, tmp_path):
-        assert fast_read(tmp_path, "symbol,count\n0,3\n2,5\n", None)[1] == "histogram"
-        assert fast_read(tmp_path, "0\n2\n2\n", None)[1] == "samples"
-        assert fast_read(tmp_path, "symbol,count\n0,3\n \n2,5\n", None) is None
+    def test_fast_path_reads_plain_inputs(self):
+        assert fast_read("symbol,count\n0,3\n2,5\n", None)[1] == "histogram"
+        assert fast_read("0\n2\n2\n", None)[1] == "samples"
+        assert fast_read("symbol,count\n0,3\n \n2,5\n", None) is None
 
-    def test_fast_path_never_disagrees_on_random_inputs(self, tmp_path):
+    def test_fast_path_never_disagrees_on_random_inputs(self):
         # wherever the vectorised reader answers, the per-line parsers agree
         rng = random.Random(5)
         numbers = ["0", "1", "3", "17", "+4", "-2", "1_0", "2.0", "9223372036854775808",
@@ -308,7 +306,7 @@ class TestReadCounts:
             if any(10**6 <= int(m) < 2**62 for m in re.findall("[0-9]+", text)):
                 continue  # an alphabet that large would really be allocated
             k = rng.choice([None, None, 4, 40])
-            got = fast_read(tmp_path, text, k)
+            got = fast_read(text, k)
             if got is None:
                 continue
             fast += 1
@@ -357,42 +355,24 @@ class TestReadCounts:
              "lone-cr", "lone-cr-in-body", "lone-cr-before-header", "samples-lone-cr"],
     )
     def test_path_reader_line_endings(self, tmp_path, text, fast, expect):
-        # numpy reads the file in text mode, which ends a line at a lone CR too;
-        # such a file goes to the per-line parser
-        got = fast_read(tmp_path, text, None)
+        # CRLF is read as LF; a file with a lone CR anywhere goes to the
+        # per-line parser, which ends a line there
+        got = fast_read(text, None)
         assert (got is not None) == fast
         if got is not None:
             assert (got[1], got[0].tolist()) == expect
-        counts, kind = read_counts(str(tmp_path / "fast.txt"))
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        counts, kind = read_counts(str(path))
         assert (kind, counts.tolist()) == expect
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_read_as_plain_text(self, tmp_path, suffix):
-        # numpy's file reader would decompress by suffix and fail on plain text
+        # nothing is decompressed: a suffix does not change how a file is read
         path = tmp_path / f"counts{suffix}"
         path.write_text("symbol,count\n0,3\n2,5\n")
-        assert _read_table(str(path), path.read_text(), os.stat(path), None) is None
         counts, kind = read_counts(str(path))
         assert (kind, counts.tolist()) == ("histogram", [3, 0, 5])
-
-    @pytest.mark.parametrize("change", ["appended", "rewritten", "replaced"])
-    def test_file_changed_after_read_falls_back(self, tmp_path, change):
-        path = tmp_path / "h.csv"
-        text = "symbol,count\n0,3\n"
-        path.write_text(text)
-        before = os.stat(path)
-        if change == "appended":
-            path.write_text(text + "1,4\n")
-        elif change == "rewritten":
-            path.write_text("symbol,count\n0,7\n")
-            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
-        else:
-            other = tmp_path / "new.csv"
-            other.write_text("symbol,count\n0,7\n")
-            os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
-            os.replace(other, path)
-        assert _read_table(str(path), text, before, None) is None
-        assert _read_table(str(path), path.read_text(), os.stat(path), None) is not None
 
     def test_named_pipe_is_read_once(self, tmp_path):
         # reopening the drained FIFO would wait for a writer that is gone
@@ -723,6 +703,19 @@ class TestApproxCommand:
         assert (code, out) == (3, "")
         assert err == f"error: degree {L} is too large to allocate\n"
 
+    def test_huge_degree_exit_3_before_allocating(self):
+        # under a 2 GiB address-space limit, so building the 8(L+2)-point scan
+        # before the levelled system fails with numpy's own MemoryError instead
+        child = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from minifunc.cli import main
+sys.exit(main(["approx", "--phi", "shannon", "--L", "100000000"]))
+"""
+        proc = _run_child(child)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: degree 100000000 is too large to allocate\n"
+
     @pytest.mark.parametrize("interval", ["nan,1", "0,inf", "0.5,0.5"])
     def test_nonfinite_or_empty_interval_exit_3(self, interval, capsys):
         code, out, err = run_cli(
@@ -852,6 +845,25 @@ class TestLowerBoundCommand:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1
         assert ("too large to allocate" if not lam else "degenerate interval") in err
+
+    @pytest.mark.parametrize(
+        "lam, gap", [("0.05", "1e-30"), ("0.5", "7e-5")], ids=["condition-1", "condition-2"]
+    )
+    def test_composite_unconverged_exit_4(self, capsys, monkeypatch, lam, gap):
+        # a bound certified from an unconverged E_L would certify nothing;
+        # unpatched, these arguments certify condition 1 and condition 2
+        def solve(f, L, interval):
+            return dataclasses.replace(remez_best_approx(f, L, interval), converged=False)
+
+        monkeypatch.setattr("minifunc.lowerbounds.remez_best_approx", solve)
+        code, out, err = run_cli(
+            ["lower-bound", "--phi", "shannon", "--k", "10000", "--n", "10000",
+             "--construction", "composite", "--lam", lam, "--gap", gap],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: best-approximation search did not converge at degree 19 ")
+        assert err.count("\n") == 1
 
     def test_composite_tv_term_overflow_exit_3(self, capsys):
         # k (2e n lam / (L k))^L = 2 * 3.9e9^56 at the default degree 56
@@ -1100,6 +1112,14 @@ class TestRiskSweepCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --alpha" in capsys.readouterr().err
 
+    def test_model_flag_removed(self, tmp_path, capsys):
+        # every sweep draws multinomial samples
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(str(tmp_path / "s.csv")) + ["--model", "poissonized"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestOutOfMemory:
     def test_memory_error_exit_3(self, capsys, monkeypatch):
@@ -1180,6 +1200,23 @@ class TestImportFootprint:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["code"] == 0
         assert result["scipy"] == []
+
+    def test_estimate_loads_no_compression_modules(self, tmp_path):
+        # the input is parsed from the bytes read; nothing reopens it by suffix
+        path = tmp_path / "uniform.csv"
+        path.write_text("symbol,count\n" + "".join(f"{i},25\n" for i in range(4)))
+        # site-packages hooks may load some of them at interpreter start
+        child = """
+import contextlib, io, sys
+started = set(sys.modules)
+from minifunc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["estimate", "--phi", "shannon", "--input", sys.argv[1]])
+added = set(sys.modules) - started
+print(code, sorted(m for m in ("gzip", "bz2", "lzma") if m in added))
+"""
+        proc = _run_child(child, str(path))
+        assert proc.stdout == "0 []\n", proc.stderr
 
     def test_no_pool_modules_loaded(self):
         # --jobs imports multiprocessing only when it forks
