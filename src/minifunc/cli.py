@@ -1,6 +1,7 @@
 """Command-line surface tying the library together.
 
-Subcommands: estimate (histogram/sample file to point estimate), approx
+Subcommands: estimate (histogram or sample file, in the one ASCII format
+read_counts describes, to point estimate), approx
 (best-polynomial report), risk-sweep (Monte Carlo rate table to CSV),
 lower-bound (two-point and composite constructions), check-speed
 (divergence-speed fit), priors (moment-matched pair to CSV).  Every
@@ -20,7 +21,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from importlib import resources
 
@@ -124,77 +124,88 @@ def read_counts(path: str, k_override: int | None = None) -> tuple[np.ndarray, s
     Symbols are 0-based indices; the alphabet size is the largest index
     plus one unless k_override says otherwise (zero-count symbols are
     real symbols).  Returns (counts, kind) with kind 'histogram' or
-    'samples'; for samples the number of lines is the sample size.  A
-    histogram's counts total below 2**63, so counts.sum() is exact.  The
-    file is read once; both parsers work on the bytes read.
+    'samples'; for samples the number of lines is the sample size.
+
+    The file is ASCII: blank space, then the header 'symbol,count'
+    (any case, spaces allowed) and rows of 'digits,digits', or samples
+    of 'digits', one a line.  Lines end in LF, CRLF or a lone CR, the
+    last one optionally; blank space after the last row is ignored.
+    numpy parses the rows in one call.  Anything else (a blank line
+    between rows, a space, tab or sign inside a row, a non-ASCII byte)
+    is an InputFormatError naming the first line that is not plain.
+    Once every row is plain, the earliest row with a value of 2**63 or
+    more, a repeated symbol or a running total past 2**63 - 1 (so
+    counts.sum() is exact) is named the same way, and so is the line of
+    a symbol whose alphabet cannot be allocated.  A k_override below the
+    largest symbol plus one, or too large to allocate, is a
+    ConfigurationError.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
         raise InputFormatError(f"cannot read {path}: {e}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        # the bytes before the bad one decode; count its line as splitlines() does
-        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
-        raise InputFormatError(
-            f"byte 0x{data[e.start]:02x} at offset {e.start} is not valid UTF-8", line=line
-        ) from None
-    return _read_table(data, k_override) or _read_lines(text.splitlines(), k_override)
-
-
-def _read_table(data: bytes, k_override: int | None) -> tuple[np.ndarray, str] | None:
-    """Vectorised read_counts on the file's bytes for the plain format, or None.
-
-    The plain format is ASCII: after the header line (histogram) or any
-    leading whitespace (samples), lines of 'digits,digits' or 'digits'
-    ending in LF or CRLF, the last line end optional.  numpy parses such
-    a body in one call.  Whatever is not plain (blank lines in the body,
-    signs, spaces, a lone CR, a non-ASCII byte) or fails the checks after
-    the parse (duplicates, a value numpy saturates at 2**63 - 1, a k too
-    small or too large, a total that may not fit int64) returns None, and
-    the per-line parsers then give the same counts or the error with its
-    line number.
-    """
     if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" in data:
-            return None
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     body = data.lstrip()
+    if not body:
+        raise InputFormatError("input file is empty", line=1)
+    first = data.count(b"\n", 0, len(data) - len(body)) + 1  # line of the first row
     end = body.find(b"\n")
     if end < 0:
         end = len(body)
     histogram = body[:end].strip().replace(b" ", b"").lower() == b"symbol,count"
     if histogram:
         body = body[end + 1 :]
-    if not body:
-        return None
-    if not body.endswith(b"\n"):
-        body += b"\n"
+        first += 1
+        if not body or body.isspace():
+            last = data.count(b"\n") + (not data.endswith(b"\n"))
+            raise InputFormatError("histogram has no data rows", line=last)
+    if body[-1:] != b"\n" or body[-2:-1].isspace():
+        body = body.rstrip() + b"\n"
     width = 2 if histogram else 1
     skeleton = body.translate(None, b"0123456789")
     rows = len(skeleton) // width
-    if skeleton != (b",\n" if histogram else b"\n") * rows:
-        return None
-    # fields hold only digits, so an empty one is the only way numpy
-    # can return fewer values than fields
-    table = np.fromstring(body.replace(b",", b" "), dtype=np.int64, sep=" ")
-    if table.size != width * rows or table.max() == _INT64_MAX:
-        return None
+    table = None
+    if skeleton == (b",\n" if histogram else b"\n") * rows:
+        # fields hold only digits, so an empty one is the only way numpy
+        # can return fewer values than fields
+        table = np.fromstring(body.replace(b",", b" "), dtype=np.int64, sep=" ")
+    if table is None or table.size != width * rows:
+        raise _first_bad_row(body, histogram, first)
     table = table.reshape(rows, width)
     symbols = table[:, 0]
+
+    faults = []  # (row, message); the earliest row is reported
+    if table.max() == _INT64_MAX:
+        # numpy saturates at 2**63 - 1; such a field is that value only
+        # if its digits spell it
+        lines = body.split(b"\n")
+        for row, field in zip(*np.nonzero(table == _INT64_MAX)):
+            if lines[row].split(b",")[field].lstrip(b"0") != _INT64_MAX_DIGITS:
+                what = "symbol and count" if histogram else "symbols"
+                faults.append((row, f"{what} must be below 2**63"))
+                break
     if histogram:
         # on 1e6 distinct symbols np.unique takes about 1 s, np.sort about 15 ms
         ordered = np.sort(symbols)
-        if (ordered[1:] == ordered[:-1]).any() or table[:, 1].max() > _INT64_MAX // rows:
-            return None
-        max_symbol = int(ordered[-1])
-    else:
-        max_symbol = int(symbols.max())
-    k = max_symbol + 1 if k_override is None else k_override
-    if k <= max_symbol:
-        return None
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(symbols, kind="stable")
+            row = order[1:][symbols[order[1:]] == symbols[order[:-1]]].min()
+            faults.append((row, f"duplicate symbol {symbols[row]}"))
+        if table[:, 1].max() > _INT64_MAX // rows:
+            # below 2**63 before the first step past it, so uint64 holds that step
+            over = np.flatnonzero(np.cumsum(table[:, 1], dtype=np.uint64) > _INT64_MAX)
+            if over.size:
+                faults.append((over[0], "total count must be below 2**63"))
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise InputFormatError(message, line=first + int(row))
+
+    top = int(symbols.max())
+    k = top + 1 if k_override is None else k_override
+    if k <= top:
+        raise ConfigurationError(f"--k={k} is smaller than the largest symbol index {top}")
     try:
         if histogram:
             counts = np.zeros(k, dtype=np.int64)
@@ -202,130 +213,42 @@ def _read_table(data: bytes, k_override: int | None) -> tuple[np.ndarray, str] |
         else:
             counts = np.bincount(symbols, minlength=k).astype(np.int64, copy=False)
     except (ValueError, OverflowError, MemoryError):
-        return None
+        if k_override is not None:
+            raise ConfigurationError(f"--k={k} is too large to allocate") from None
+        raise InputFormatError(
+            f"symbol {top} implies k = {k}, too large to allocate",
+            line=first + int(np.argmax(symbols)),
+        ) from None
     return counts, "histogram" if histogram else "samples"
-
-
-def _read_lines(lines: list[str], k_override: int | None) -> tuple[np.ndarray, str]:
-    """read_counts one line at a time; every malformed input ends here."""
-    first = ""
-    for raw in lines:
-        if raw.strip():
-            first = raw.strip()
-            break
-    if not first:
-        raise InputFormatError("input file is empty", line=1)
-
-    if first.replace(" ", "").lower() == "symbol,count":
-        return (_parse_histogram(lines, k_override), "histogram")
-    return (_parse_samples(lines, k_override), "samples")
 
 
 # counts and symbols are stored as int64
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX_DIGITS = str(_INT64_MAX).encode()
 
 
-def _resolve_k(entries_max: int, k_override: int | None) -> int:
-    inferred = entries_max + 1
-    if k_override is None:
-        return inferred
-    if k_override < inferred:
-        raise ConfigurationError(
-            f"--k={k_override} is smaller than the largest symbol index {entries_max}"
-        )
-    return k_override
-
-
-def _too_large(k: int, k_override: int | None, top: int, top_line: int) -> MinifuncError:
-    if k_override is not None:
-        return ConfigurationError(f"--k={k} is too large to allocate")
-    return InputFormatError(f"symbol {top} implies k = {k}, too large to allocate", line=top_line)
-
-
-# leading zeros after optional space and sign, each followed by another digit
-_LEADING_ZEROS = re.compile(r"^(\s*[+-]?)0+(?=\d)")
-
-
-def _int_field(field: str) -> int:
-    """int(field), reading a zero-padded field as its value.
-
-    int() counts padding against Python's 4300-digit limit and numpy's
-    reader does not, so a field longer than the limit loses its padding
-    first; a value that itself has more digits is still rejected.  The
-    regex runs only on such fields: on every field it triples the cost
-    of a per-line parse.
-    """
-    if len(field) <= sys.get_int_max_str_digits():
-        return int(field)
-    return int(_LEADING_ZEROS.sub(r"\1", field))
-
-
-def _parse_histogram(lines, k_override) -> np.ndarray:
-    entries: dict[int, int] = {}
-    seen_header = False
-    total = 0
-    top, top_line = -1, 0
-    for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s:
+def _first_bad_row(body: bytes, histogram: bool, first: int) -> InputFormatError:
+    """The error for the first row of body (LF-terminated, its first row
+    on line first) that is not plain digits."""
+    width = 2 if histogram else 1
+    for line, row in enumerate(body[:-1].split(b"\n"), start=first):
+        fields = row.split(b",")
+        if len(fields) == width and all(f.isdigit() for f in fields):
             continue
-        if not seen_header:
-            seen_header = True
-            continue
-        parts = s.split(",")
-        if len(parts) != 2:
-            raise InputFormatError(f"expected 'symbol,count', got {s!r}", line=lineno)
-        try:
-            sym, cnt = _int_field(parts[0]), _int_field(parts[1])
-        except ValueError:
-            raise InputFormatError(f"non-integer field in {s!r}", line=lineno) from None
-        if sym < 0 or cnt < 0:
-            raise InputFormatError("symbol and count must be non-negative", line=lineno)
-        if sym > _INT64_MAX or cnt > _INT64_MAX:
-            raise InputFormatError("symbol and count must be below 2**63", line=lineno)
-        if sym in entries:
-            raise InputFormatError(f"duplicate symbol {sym}", line=lineno)
-        total += cnt
-        if total > _INT64_MAX:
-            raise InputFormatError("total count must be below 2**63", line=lineno)
-        if sym > top:
-            top, top_line = sym, lineno
-        entries[sym] = cnt
-    if not entries:
-        raise InputFormatError("histogram has no data rows", line=max(1, len(lines)))
-    k = _resolve_k(top, k_override)
-    try:
-        counts = np.zeros(k, dtype=np.int64)
-    except (ValueError, OverflowError, MemoryError):
-        raise _too_large(k, k_override, top, top_line) from None
-    for sym, cnt in entries.items():
-        counts[sym] = cnt
-    return counts
-
-
-def _parse_samples(lines, k_override) -> np.ndarray:
-    symbols = []
-    top, top_line = -1, 0
-    for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s:
-            continue
-        try:
-            sym = _int_field(s)
-        except ValueError:
-            raise InputFormatError(f"expected one integer symbol, got {s!r}", line=lineno) from None
-        if sym < 0:
-            raise InputFormatError("symbols must be non-negative", line=lineno)
-        if sym > _INT64_MAX:
-            raise InputFormatError("symbols must be below 2**63", line=lineno)
-        if sym > top:
-            top, top_line = sym, lineno
-        symbols.append(sym)
-    k = _resolve_k(top, k_override)
-    try:
-        return np.bincount(np.asarray(symbols, dtype=np.int64), minlength=k).astype(np.int64)
-    except (ValueError, OverflowError, MemoryError):
-        raise _too_large(k, k_override, top, top_line) from None
+        if not row.isascii():
+            byte = next(b for b in row if b > 0x7F)
+            return InputFormatError(f"byte 0x{byte:02x} is not ASCII", line=line)
+        if not row.strip():
+            return InputFormatError("blank line between rows", line=line)
+        text = row.decode()
+        if len(fields) == width and all(f.lstrip(b"+-").isdigit() for f in fields):
+            what = "symbol and count" if histogram else "symbols"
+            message = f"{what} must be non-negative digits without a sign, got {text!r}"
+        else:
+            what = "'symbol,count'" if histogram else "one symbol"
+            message = f"expected {what} of digits only, got {text!r}"
+        return InputFormatError(message, line=line)
+    raise AssertionError("every row is plain")
 
 
 def _resolve_seed(args) -> int:
