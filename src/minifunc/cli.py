@@ -240,7 +240,7 @@ def _first_bad_row(body: bytes, histogram: bool, first: int) -> InputFormatError
             return InputFormatError(f"byte 0x{byte:02x} is not ASCII", line=line)
         if not row.strip():
             return InputFormatError("blank line between rows", line=line)
-        text = row.decode()
+        text = row[:80].decode() + ("…" if len(row) > 80 else "")  # a row can be megabytes
         if len(fields) == width and all(f.lstrip(b"+-").isdigit() for f in fields):
             what = "symbol and count" if histogram else "symbols"
             message = f"{what} must be non-negative digits without a sign, got {text!r}"
@@ -285,15 +285,15 @@ def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
         raise ConfigurationError(f"poissonized model needs --n >= 1, got {n}")
 
     alpha = phi.alpha
-    order = args.order if args.order is not None else default_correction_order(alpha)
     if (args.c1 is None) != (args.c2 is None):
         raise ConfigurationError("--c1 and --c2 must be given together")
     preset = args.preset if args.c1 is None else "explicit"
     if preset == "explicit":
+        order = default_correction_order(alpha)
         cfg = EstimatorConfig(c1=args.c1, c2=args.c2, correction_order=order, rng_seed=args.seed)
     else:
         make = tuned_config if preset == "tuned" else default_config
-        cfg = make(alpha, correction_order=order, rng_seed=args.seed)
+        cfg = make(alpha, rng_seed=args.seed)
     # only explicit constants are rejected; a preset's violations are warnings
     violations = validate_config(cfg, alpha)
     if violations and preset == "explicit" and not args.allow_unvalidated:
@@ -344,7 +344,7 @@ def _cmd_approx(args, phi: Functional) -> tuple[dict, dict]:
 
 
 def _cmd_check_speed(args, phi: Functional) -> tuple[dict, dict]:
-    report = check_divergence_speed(phi, args.ell, alpha=args.alpha)
+    report = check_divergence_speed(phi, args.ell)
     return {"ell": args.ell, "alpha": report.alpha}, {
         "holds": report.holds,
         "W": report.W,
@@ -360,17 +360,13 @@ def _cmd_lower_bound(args, phi: Functional) -> tuple[dict, dict]:
         "k": args.k,
         "n": args.n,
         "construction": args.construction,
-        "p": None,
-        "c": None,
         "lam": None,
         "degree": None,
         "gap": None,
     }
     extras: dict = {"condition": None, "e_l": None, "gamma": None}
     if args.construction in ("le-cam", "hellinger"):
-        params["p"] = args.p
-        params["c"] = args.c
-        pair = canonical_two_point_pair(phi, args.k, args.n, p=args.p, c=args.c)
+        pair = canonical_two_point_pair(phi, args.k, args.n)
         if args.construction == "le-cam":
             bound = le_cam_bound(pair.P, pair.Q, phi, args.n)
             terms = {
@@ -415,13 +411,11 @@ def _cmd_lower_bound(args, phi: Functional) -> tuple[dict, dict]:
 
 def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
     if args.gamma is not None:
-        eta = args.eta if args.eta is not None else args.gamma
-        pair = tilted_pair(phi, args.L, args.gamma, eta)
+        pair = tilted_pair(phi, args.L, args.gamma, args.gamma)
         interval = None
     else:
         interval = _parse_interval(args.interval)
         pair = moment_matched_pair(phi.eval, args.L, interval)
-        eta = None
     lines = ["x,w0,w1"]
     for x, w0, w1 in zip(pair.support, pair.w0, pair.w1):
         lines.append(f"{float(x)!r},{float(w0)!r},{float(w1)!r}")
@@ -430,7 +424,6 @@ def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
         "L": args.L,
         "interval": list(interval) if interval is not None else None,
         "gamma": args.gamma,
-        "eta": eta,
     }
     return params, {
         "gap": pair.gap,
@@ -485,51 +478,51 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--phi", required=True)
     common.add_argument("--seed", type=int)
 
-    p = sub.add_parser("estimate", help="estimate theta from a histogram or sample file", parents=[common])
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # whole option names only: a removed option such as --p is rejected,
+        # not read as --phi
+        return sub.add_parser(name, help=summary, parents=[common], allow_abbrev=False)
+
+    p = command("estimate", "estimate theta from a histogram or sample file")
     p.add_argument("--input", required=True)
     p.add_argument("--model", choices=["multinomial", "poissonized"], default="multinomial")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
-    p.add_argument("--order", type=int, choices=[2, 4])
     p.add_argument("--estimator", choices=list(ESTIMATORS))
     p.add_argument("--preset", choices=["default", "tuned"], default="default")
     p.add_argument("--allow-unvalidated", action="store_true")
     p.set_defaults(handler=_cmd_estimate)
 
-    p = sub.add_parser("approx", help="best uniform polynomial approximation report", parents=[common])
+    p = command("approx", "best uniform polynomial approximation report")
     p.add_argument("--L", required=True, type=int)
     p.add_argument("--interval", default="0,1")
     p.set_defaults(handler=_cmd_approx)
 
-    p = sub.add_parser("check-speed", help="fit divergence-speed constants for phi", parents=[common])
+    p = command("check-speed", "fit divergence-speed constants for phi")
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--alpha", type=float)
     p.set_defaults(handler=_cmd_check_speed)
 
-    p = sub.add_parser("lower-bound", help="minimax lower-bound constructions", parents=[common])
+    p = command("lower-bound", "minimax lower-bound constructions")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument(
         "--construction", choices=["le-cam", "hellinger", "composite"], default="le-cam"
     )
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--lam", type=float)
     p.add_argument("--degree", type=int)
     p.add_argument("--gap", type=float)
     p.set_defaults(handler=_cmd_lower_bound)
 
-    p = sub.add_parser("priors", help="moment-matched measure pair to CSV", parents=[common])
+    p = command("priors", "moment-matched measure pair to CSV")
     p.add_argument("--L", required=True, type=int)
     p.add_argument("--interval", default="0,1")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--eta", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_priors)
 
-    p = sub.add_parser("risk-sweep", help="Monte Carlo risk table across an n-grid", parents=[common])
+    p = command("risk-sweep", "Monte Carlo risk table across an n-grid")
     p.add_argument("--family", required=True, choices=["uniform", "zipf", "two_spike", "dirichlet"])
     p.add_argument("--param", type=float)
     p.add_argument("--n-grid", required=True)

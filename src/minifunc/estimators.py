@@ -192,7 +192,7 @@ def _condition3_lhs(c1: float, c2: float) -> float:
 _C1_MARGIN = 0.05
 
 
-def default_config(alpha: float, correction_order: int | None = None, rng_seed: int = 0) -> EstimatorConfig:
+def default_config(alpha: float, rng_seed: int = 0) -> EstimatorConfig:
     """Admissible constants for a given divergence-speed exponent.
 
     C2 = 8*alpha + 1; C1 is the smaller of 1/(2*C2^3) and the largest
@@ -216,11 +216,11 @@ def default_config(alpha: float, correction_order: int | None = None, rng_seed: 
     b = 2.0 * math.sqrt(c2) * math.log(2.0 * math.e)
     s = 2.0 * head / (b + math.sqrt(b * b + 4.0 * a * head))
     c1 = min(1.0 / (2.0 * c2**3), s * s)
-    order = correction_order if correction_order is not None else default_correction_order(alpha)
+    order = default_correction_order(alpha)
     return EstimatorConfig(c1=c1, c2=c2, correction_order=order, rng_seed=rng_seed)
 
 
-def tuned_config(alpha: float, correction_order: int | None = None, rng_seed: int = 0) -> EstimatorConfig:
+def tuned_config(alpha: float, rng_seed: int = 0) -> EstimatorConfig:
     """Aggressive constants for desk-scale n (roughly 1e3..1e7).
 
     The admissible constants from default_config are so conservative that
@@ -232,7 +232,7 @@ def tuned_config(alpha: float, correction_order: int | None = None, rng_seed: in
     Chosen by a grid sweep of Monte Carlo risk at k = n = 1e4 and spot
     checks across 1e2 <= k, n <= 1e5 for entropy and power sums.
     """
-    order = correction_order if correction_order is not None else default_correction_order(alpha)
+    order = default_correction_order(alpha)
     return EstimatorConfig(c1=0.9, c2=0.5, correction_order=order, rng_seed=rng_seed)
 
 
@@ -345,11 +345,12 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     best-poly elsewhere.
 
     data is a Histogram (split in place, so each half runs at half the
-    nominal size) or a pre-split SplitHistograms.  At n_effective < 3, or
-    when the truncation point would reach 1, the construction is
-    meaningless and the plain plugin on the unsplit counts is returned
-    with a warning.  The polynomial approximation and its clamp are
-    computed once per (functional, degree, interval) and cached.
+    nominal size) or a pre-split SplitHistograms.  At degree 0 (a
+    "polynomial" that ignores the count), or when the truncation point
+    would reach 1, the construction is degenerate and the plain plugin on
+    the unsplit counts is returned with a warning.  The polynomial
+    approximation and its clamp are computed once per (functional, degree,
+    interval) and cached.
     """
     warnings: list[str] = []
     if isinstance(data, SplitHistograms):
@@ -366,10 +367,13 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
             f"composite_estimate needs a Histogram or SplitHistograms, got {type(data).__name__}"
         )
     n_eff = split.n_effective
+    L = cfg.degree(n_eff)
 
-    if n_eff < 3 or cfg.delta(n_eff) >= 1.0:
+    if L == 0 or cfg.delta(n_eff) >= 1.0:
         warnings.append(
-            f"n_effective={n_eff:g} too small for the split construction; "
+            f"degree floor(C1 ln n_effective) = {L} and truncation point {cfg.delta(n_eff):g} "
+            f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the split construction is degenerate "
+            "(the admissible constants' guarantee is asymptotic); "
             "falling back to the plain plugin on the unsplit counts"
         )
         combined = Histogram(
@@ -388,7 +392,6 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
             poly_interval=(0.0, 1.0),
         )
 
-    L = cfg.degree(n_eff)
     threshold = cfg.count_threshold(n_eff)
     interval = cfg.poly_interval(n_eff)
     delta = cfg.delta(n_eff)

@@ -669,6 +669,37 @@ class TestEstimateCommand:
         assert code == 2
         assert "line 3" in err
 
+    def test_long_bad_row_quoted_in_part(self, tmp_path, capsys):
+        # 1e5 samples written on one line: the message keeps the line and a
+        # prefix of the row, not its 589 KB
+        path = tmp_path / "oneline.txt"
+        path.write_text(" ".join(map(str, range(100_000))) + "\n")
+        code, out, err = run_cli(["estimate", "--phi", "shannon", "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: expected one symbol of digits only, got '0 1 2 3 ")
+        assert err.endswith("…'\n") and len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("family", ["uniform", "zipf1.5"])
+    def test_default_preset_at_degree_0_is_the_plugin(self, family, tmp_path, capsys):
+        # the admissible constants give degree floor(C1 ln 5e4) = 0, where a
+        # "polynomial" ignores the counts; the plain plugin answers instead
+        k, n = 1000, 100_000
+        p = np.full(k, 1.0 / k) if family == "uniform" else np.arange(1.0, k + 1.0) ** -1.5
+        p /= p.sum()
+        counts = np.random.default_rng(1).multinomial(n, p)
+        path = tmp_path / "counts.csv"
+        path.write_text("symbol,count\n" + "".join(f"{i},{c}\n" for i, c in enumerate(counts)))
+        code, out, _ = run_cli(["estimate", "--phi", "shannon", "--input", str(path)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        check_schema(doc, "estimate")
+        assert abs(doc["estimate"] - float(-(p * np.log(p)).sum())) <= 0.02
+        assert doc["degree"] == 0 and doc["branch_counts"] == {"plugin": k, "poly": 0}
+        assert any(
+            w.startswith("degree floor(C1 ln n_effective) = 0 ") and "plain plugin" in w
+            for w in doc["warnings"]
+        )
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["estimate", "--phi", "shannon", "--input", str(tmp_path / "no.csv")],
@@ -796,24 +827,16 @@ class TestCheckSpeedCommand:
         assert doc["W"] == pytest.approx(0.5, rel=1e-9)
 
     def test_failed_fit_prints_null_not_infinity(self, capsys):
-        # the wrong alpha leaves c and c' infinite, which JSON cannot carry
-        code, out, _ = run_cli(
-            ["check-speed", "--phi", "power:0.5", "--ell", "1", "--alpha", "1.5"], capsys
-        )
+        # |phi'| = ln(1/p) - 1 is no multiple of p^0: over p <= 1e-4 it
+        # halves, and the failed fit leaves c and c' infinite, which JSON
+        # cannot carry
+        code, out, _ = run_cli(["check-speed", "--phi", "shannon", "--ell", "1"], capsys)
         assert code == 0
         doc = strict_loads(out)
         check_schema(doc, "check-speed")
         assert doc["holds"] is False
         assert (doc["c"], doc["c_prime"]) == (None, None)
-        assert doc["W"] > 0 and doc["spread"] > 0.03
-
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
-    def test_nonfinite_alpha_exit_3(self, alpha, capsys):
-        code, out, err = run_cli(
-            ["check-speed", "--phi", "power:0.5", "--ell", "1", f"--alpha={alpha}"], capsys
-        )
-        assert (code, out) == (3, "")
-        assert err == f"error: alpha must be finite, got {float(alpha)!r}\n"
+        assert doc["W"] > 0 and doc["spread"] == pytest.approx(0.529, abs=1e-3)
 
 
 class TestLowerBoundCommand:
@@ -1000,7 +1023,6 @@ class TestPriorsCommand:
         check_schema(doc, "priors")
         assert doc["config"]["interval"] is None
         assert doc["config"]["gamma"] == 0.01
-        assert doc["config"]["eta"] == 0.01
         # the L+2 reference points plus the atom at zero
         assert doc["support_size"] == 6 + 3
 
@@ -1171,6 +1193,29 @@ class TestRiskSweepCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --model" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--input", "counts.csv", "--order", "4"],
+        ["check-speed", "--alpha", "0.5"],
+        ["lower-bound", "--k", "100", "--n", "1000", "--p", "0.4"],
+        ["lower-bound", "--k", "100", "--n", "1000", "--c", "2"],
+        ["priors", "--L", "6", "--gamma", "0.01", "--out", "pair.csv", "--eta", "0.1"],
+    ],
+    ids=["estimate-order", "check-speed-alpha", "lower-bound-p", "lower-bound-c", "priors-eta"],
+)
+def test_removed_option_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # phi decides alpha, the correction order and the pairs, so none of these
+    # options exists, and none is read as an abbreviation (--p of --phi, --c
+    # of --construction)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--phi", "shannon"] + argv[1:])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 class TestOutOfMemory:

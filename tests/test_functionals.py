@@ -252,15 +252,13 @@ class TestDivergenceSpeed:
         assert r.c == 0.0 and r.c_prime == 0.0
 
     def test_wrong_alpha_fails_with_witness(self):
-        r = check_divergence_speed(SH, 2, alpha=0.5)
+        # |phi'| = ln(1/p) - 1 grows without bound, so it is no W p^0: over
+        # the four decades p <= 1e-4 the ratio halves
+        r = check_divergence_speed(SH, 1)
         assert not r.holds
-        assert r.witness is not None
-        assert r.spread > 0.03
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_alpha_rejected(self, alpha):
-        with pytest.raises(ConfigurationError, match="alpha must be finite"):
-            check_divergence_speed(SH, 2, alpha=alpha)
+        assert r.witness is not None and r.witness <= 1e-4
+        assert r.spread > 0.5
+        assert r.c == r.c_prime == math.inf
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
     def test_power_sandwich_tight(self, alpha):
