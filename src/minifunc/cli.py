@@ -252,37 +252,16 @@ def _first_bad_row(body: bytes, histogram: bool, first: int) -> InputFormatError
 
 
 def _resolve_seed(args) -> int:
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        env, source = os.environ.get("MINIFUNC_SEED"), "MINIFUNC_SEED"
-        if env is None:
-            return 0
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigurationError(f"MINIFUNC_SEED must be an integer, got {env!r}") from None
+    seed = 0 if args.seed is None else args.seed
     if seed < 0:
-        raise ConfigurationError(f"{source} must be >= 0, got {seed}")
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
     return seed
 
 
 def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
     counts, kind = read_counts(args.input, args.k)
-    total = int(counts.sum())  # exact: read_counts keeps it below 2**63
-    if args.model == "multinomial":
-        n = total if args.n is None else args.n
-        if n != total:
-            raise ConfigurationError(
-                f"--n={n} disagrees with the {total} samples in the input"
-            )
-    else:
-        if args.n is None:
-            raise ConfigurationError("poissonized model needs --n (the nominal rate scale)")
-        n = args.n
-    h = Histogram(counts=counts, n_nominal=n, model=args.model)
-    # after Histogram, which rejects a negative n with its own message
-    if args.model == "poissonized" and n < 1:
-        raise ConfigurationError(f"poissonized model needs --n >= 1, got {n}")
+    n = int(counts.sum())  # exact: read_counts keeps it below 2**63
+    h = Histogram(counts=counts, n_nominal=n)
 
     alpha = phi.alpha
     if (args.c1 is None) != (args.c2 is None):
@@ -311,7 +290,6 @@ def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
     params = {
         "n": n,
         "k": int(h.k),
-        "model": args.model,
         "input_kind": kind,
         "estimator": estimator,
         "c1": cfg.c1,
@@ -485,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("estimate", "estimate theta from a histogram or sample file")
     p.add_argument("--input", required=True)
-    p.add_argument("--model", choices=["multinomial", "poissonized"], default="multinomial")
-    p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
@@ -544,7 +520,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every handler sees the resolved seed and phi; a bad MINIFUNC_SEED
+        # every handler sees the resolved seed and phi; a negative --seed
         # exits 3 before a bad --phi exits 2
         args.seed = _resolve_seed(args)
         phi = parse_phi(args.phi)

@@ -347,54 +347,55 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     data is a Histogram (split in place, so each half runs at half the
     nominal size) or a pre-split SplitHistograms.  At degree 0 (a
     "polynomial" that ignores the count), or when the truncation point
-    would reach 1, the construction is degenerate and the plain plugin on
-    the unsplit counts is returned with a warning.  The polynomial
-    approximation and its clamp are computed once per (functional, degree,
-    interval) and cached.
+    would reach 1, the construction is degenerate: before any split is
+    drawn, the plain plugin on the unsplit counts is returned with a
+    warning.  The polynomial approximation and its clamp are computed once
+    per (functional, degree, interval) and cached.
     """
-    warnings: list[str] = []
     if isinstance(data, SplitHistograms):
-        split = data
+        n_eff = data.n_effective
     elif isinstance(data, Histogram):
+        n_eff = data.n_nominal / 2.0
+    else:
+        raise ConfigurationError(
+            f"composite_estimate needs a Histogram or SplitHistograms, got {type(data).__name__}"
+        )
+    L = cfg.degree(n_eff)
+    threshold = cfg.count_threshold(n_eff)
+    interval = cfg.poly_interval(n_eff)
+    delta = cfg.delta(n_eff)
+
+    if L == 0 or delta >= 1.0:
+        warning = (
+            f"degree floor(C1 ln n_effective) = {L} and truncation point {delta:g} "
+            f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the split construction is degenerate "
+            "(the admissible constants' guarantee is asymptotic); "
+            "falling back to the plain plugin on the unsplit counts"
+        )
+        if isinstance(data, Histogram):
+            value = plain_plugin_estimate(data, phi)
+        else:
+            value = _plain_plugin(data.est.counts + data.sel.counts, 2.0 * n_eff, phi)
+        return CompositeResult(
+            estimate=value,
+            branch_counts={"plugin": data.k, "poly": 0},
+            warnings=(warning,),
+            n_effective=n_eff,
+            degree=L,
+            threshold=threshold,
+            poly_interval=interval,
+        )
+
+    warnings: list[str] = []
+    split = data
+    if isinstance(data, Histogram):
         if data.model == "multinomial":
             warnings.append(
                 "multinomial input split in place: halves are not independent "
                 "Poisson, risk guarantees are approximate"
             )
         split = split_samples(data, rng=np.random.default_rng(cfg.rng_seed) if rng is None else rng)
-    else:
-        raise ConfigurationError(
-            f"composite_estimate needs a Histogram or SplitHistograms, got {type(data).__name__}"
-        )
-    n_eff = split.n_effective
-    L = cfg.degree(n_eff)
 
-    if L == 0 or cfg.delta(n_eff) >= 1.0:
-        warnings.append(
-            f"degree floor(C1 ln n_effective) = {L} and truncation point {cfg.delta(n_eff):g} "
-            f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the split construction is degenerate "
-            "(the admissible constants' guarantee is asymptotic); "
-            "falling back to the plain plugin on the unsplit counts"
-        )
-        combined = Histogram(
-            counts=split.est.counts + split.sel.counts,
-            n_nominal=int(round(2 * n_eff)),
-            model="poissonized",
-        )
-        value = plain_plugin_estimate(combined, phi)
-        return CompositeResult(
-            estimate=value,
-            branch_counts={"plugin": combined.k, "poly": 0},
-            warnings=tuple(warnings),
-            n_effective=n_eff,
-            degree=0,
-            threshold=0.0,
-            poly_interval=(0.0, 1.0),
-        )
-
-    threshold = cfg.count_threshold(n_eff)
-    interval = cfg.poly_interval(n_eff)
-    delta = cfg.delta(n_eff)
     key = (phi.cache_key(), L, float(interval[0]), float(interval[1]))
     plan = _PLAN_CACHE.get(key)
     if plan is None:
@@ -440,8 +441,12 @@ def corrected_plugin_estimate(h: Histogram, phi: Functional, cfg: EstimatorConfi
 
 def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
     """Uncorrected plugin: sum of phi at the empirical frequencies."""
-    n = h.n_nominal if h.n_nominal > 0 else 1
-    return math.fsum(_fingerprint_terms(h.counts, lambda c: phi.eval(c / n)).tolist())
+    return _plain_plugin(h.counts, h.n_nominal, phi)
+
+
+def _plain_plugin(counts, n, phi: Functional) -> float:
+    n = n if n > 0 else 1
+    return math.fsum(_fingerprint_terms(counts, lambda c: phi.eval(c / n)).tolist())
 
 
 # registry order is part of the seeding contract: the estimator's index
@@ -454,14 +459,25 @@ def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig
 
     composite returns composite_estimate's record, its split drawn from
     rng.  The plugins ignore rng and report every symbol in the plugin
-    branch, no warnings, and None split fields.
+    branch and None split fields.  corrected warns when more than half
+    the symbols have a frequency below its truncation point delta, where
+    each is floored at phi(delta); the plain plugin warns of nothing.
     """
     if name == "composite":
         return composite_estimate(h, phi, cfg, rng=rng)
+    warnings = ()
     if name == "plugin":
         value = plain_plugin_estimate(h, phi)
     elif name == "corrected":
         value = corrected_plugin_estimate(h, phi, cfg)
+        delta = cfg.delta(h.n_nominal)
+        floored = np.count_nonzero(h.counts / h.n_nominal < delta) / h.k
+        if floored > 0.5:
+            warnings = (
+                f"corrected plugin: {floored:.1%} of symbols have a frequency below the "
+                f"truncation point delta = {delta:g} and are floored at phi(delta); "
+                "expect a large bias in this undersampled regime",
+            )
     else:
         raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
-    return CompositeResult(value, {"plugin": h.k, "poly": 0}, (), None, None, None, None)
+    return CompositeResult(value, {"plugin": h.k, "poly": 0}, warnings, None, None, None, None)

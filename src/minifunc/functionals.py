@@ -326,7 +326,8 @@ def check_divergence_speed(phi: Functional, ell: int) -> DivergenceSpeedReport:
         )
     ratios = vals * grid ** (ell - alpha)
     head = ratios[grid <= 1e-4]
-    W = float(np.median(head[:8]))
+    smallest = np.sort(head[:8])
+    W = float((smallest[3] + smallest[4]) / 2)  # the median, without np.median's numpy.ma import
     if not (math.isfinite(W) and W > 0.0):
         return DivergenceSpeedReport(
             ell=ell, alpha=alpha, W=W, c=math.inf, c_prime=math.inf,

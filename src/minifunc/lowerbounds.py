@@ -115,18 +115,14 @@ def two_point_pair(phi: Functional, k: int, p: float, q: float) -> TwoPointPair:
     )
 
 
-def canonical_two_point_pair(
-    phi: Functional, k: int, n: int, p: float = 0.5, c: float = 1.0
-) -> TwoPointPair:
-    """Two-point pair at the 1/sqrt(n) perturbation scale: q = p - c/sqrt(n)."""
+def canonical_two_point_pair(phi: Functional, k: int, n: int) -> TwoPointPair:
+    """Two-point pair at the 1/sqrt(n) perturbation scale: p = 1/2, q = p - 1/sqrt(n)."""
     if n <= 0:
         raise ConfigurationError(f"n must be positive, got {n}")
-    q = p - c / math.sqrt(n)
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError(
-            f"perturbed mass q={q:.6g} escapes (0, 1); reduce c or increase n"
-        )
-    return two_point_pair(phi, k, p, q)
+    q = 0.5 - 1.0 / math.sqrt(n)
+    if q <= 0.0:
+        raise ConfigurationError(f"perturbed mass q={q:.6g} escapes (0, 1); increase n")
+    return two_point_pair(phi, k, 0.5, q)
 
 
 def le_cam_bound(P, Q, phi: Functional, n: int) -> float:
@@ -462,7 +458,8 @@ def hoelder_norm(f, beta: float) -> float:
         raise ConfigurationError(f"beta must lie in (0, 1], got {beta!r}")
     u_cheb = 0.5 * (1.0 - np.cos(np.pi * np.arange(768) / 767))
     u_geom = np.geomspace(1e-14, 1.0, 384)
-    x = np.unique(np.concatenate([[0.0], u_cheb, u_geom]))
+    # repeated points are harmless: the dx > 0 mask below skips them
+    x = np.sort(np.concatenate([[0.0], u_cheb, u_geom]))
     fx = np.asarray(fn(x), dtype=float)
     # in row blocks: the full pair matrices would take 10 MB each; every
     # row holds its diagonal 0, so no block is all NaN
@@ -485,7 +482,8 @@ def log_speed_constants(phi: Functional):
     p = np.geomspace(1e-12, 0.999999, 4096)
     vals = np.abs(np.asarray(phi.deriv(1, p), dtype=float))
     logs = np.log(1.0 / p)
-    W = float(np.median(vals[:32] / logs[:32]))
+    ratios = np.sort(vals[:32] / logs[:32])
+    W = float((ratios[15] + ratios[16]) / 2)  # the median, without np.median's numpy.ma import
     c = float(max(0.0, np.max(vals - W * logs)))
     return W, c
 

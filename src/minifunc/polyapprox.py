@@ -158,10 +158,10 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
             return ft(t) - _cheb_eval(t, coef)
 
         # the scan follows the migrating reference: midpoints between
-        # consecutive reference points keep resolution where it matters
-        grid = np.unique(
-            np.concatenate([scan_base, ref, 0.5 * (ref[1:] + ref[:-1])])
-        )
+        # consecutive reference points keep resolution where it matters;
+        # sorted with repeats dropped (np.unique would import numpy.ma)
+        grid = np.sort(np.concatenate([scan_base, ref, 0.5 * (ref[1:] + ref[:-1])]))
+        grid = grid[np.append(True, grid[1:] != grid[:-1])]
         fvals = ft(grid)
         if not np.all(np.isfinite(fvals)):
             raise NumericalError("f is not finite on the approximation interval")

@@ -470,7 +470,7 @@ class TestComposite:
         cfg = EstimatorConfig(c1=0.03, c2=2.5, correction_order=2)
         res = composite_estimate(_mixed_split(), phi, cfg)
         assert res.branch_counts == {"plugin": 4, "poly": 0}
-        assert res.threshold == 0.0
+        assert res.threshold == 23.02585092994046
         assert res.degree == 0
         assert res.estimate == pytest.approx(MIXED_ESTIMATE, rel=1e-12)
 
@@ -538,6 +538,29 @@ class TestComposite:
         split = SplitHistograms(est=est, sel=sel, n_effective=10.0)
         res = composite_estimate(split, SH, cfg)
         assert any("plain plugin" in w for w in res.warnings)
+        # the result names the construction the warning does, not degree 0
+        assert any(w.startswith("degree floor(C1 ln n_effective) = 2 ") for w in res.warnings)
+        assert (res.degree, res.threshold, res.poly_interval) == (
+            2, cfg.count_threshold(10.0), cfg.poly_interval(10.0)
+        )
+
+    def test_fallback_draws_nothing(self):
+        # decided before the split: the Generator is not advanced, the
+        # multinomial input gets no split warning, and the answer is the
+        # input's own plugin
+        h = Histogram(counts=np.array([2, 1, 1]), n_nominal=4)
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        res = composite_estimate(h, SH, tuned_config(1.0), rng=rng)
+        assert rng.bit_generator.state == before
+        assert len(res.warnings) == 1 and "plain plugin" in res.warnings[0]
+        assert res.estimate == plain_plugin_estimate(h, SH)
+
+    def test_fallback_keeps_a_fractional_rate_scale(self):
+        h = Histogram(counts=np.array([4, 9]), n_nominal=12.5, model="poissonized")
+        res = composite_estimate(h, SH, default_config(1.0))
+        assert res.n_effective == 6.25
+        assert res.estimate == math.fsum(SH.eval(np.array([4, 9]) / 12.5).tolist())
 
     def test_custom_functionals_with_one_label_keep_their_own_plans(self, monkeypatch):
         # sqrt(p) and 3 sqrt(p) share kind, label and alpha; the plan cached
@@ -653,6 +676,22 @@ class TestRunEstimator:
             assert res.degree is None
             assert res.threshold is None
             assert res.poly_interval is None
+
+    def test_corrected_warns_when_most_symbols_are_floored(self):
+        # zipf(1) at k = n = 1e3: most counts fall below C2 ln n, where the
+        # corrected plugin floors each term at phi(delta)
+        cfg = tuned_config(1.0)
+        k = n = 1000
+        P = 1.0 / np.arange(1.0, k + 1.0)
+        h = sample_histogram(P / P.sum(), n, rng=np.random.default_rng(3))
+        (warning,) = run_estimator("corrected", h, SH, cfg).warnings
+        floored = np.count_nonzero(h.counts < cfg.delta_nk(n)) / k
+        assert floored > 0.5
+        assert f"{floored:.1%} of symbols" in warning
+        assert f"delta = {cfg.delta(n):g}" in warning
+        # the well-sampled regime of the plugin-bias gate: no warning
+        h = sample_histogram(np.full(100, 0.01), 10**5, rng=np.random.default_rng(3))
+        assert run_estimator("corrected", h, SH, cfg).warnings == ()
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="estimator must be one of"):

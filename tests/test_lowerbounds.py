@@ -160,8 +160,9 @@ class TestTwoPointPair:
     def test_canonical_scale(self):
         tp = canonical_two_point_pair(SH, 100, 10**4)
         assert tp.q == pytest.approx(0.5 - 1e-2)
+        # q = 1/2 - 1/sqrt(2) < 0
         with pytest.raises(ConfigurationError, match="escapes"):
-            canonical_two_point_pair(SH, 10, 2, p=0.5, c=2.0)
+            canonical_two_point_pair(SH, 10, 2)
         for n in (0, -5):
             with pytest.raises(ConfigurationError, match="n must be positive"):
                 canonical_two_point_pair(SH, 10, n)
