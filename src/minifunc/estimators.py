@@ -340,6 +340,22 @@ class CompositeResult:
 _PLAN_CACHE: dict = {}
 
 
+def _composite_plan(phi: Functional, cfg: EstimatorConfig, n_eff: float):
+    """The composite's cached (best approximation, clamp) at n_eff, or None
+    where its construction is degenerate (degree 0, or delta >= 1) and it
+    falls back to the plugin."""
+    L = cfg.degree(n_eff)
+    if L == 0 or cfg.delta(n_eff) >= 1.0:
+        return None
+    interval = cfg.poly_interval(n_eff)
+    key = (phi.cache_key(), L, float(interval[0]), float(interval[1]))
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = remez_best_approx(phi.eval, L, interval), range_on_interval(phi.eval, interval)
+        _PLAN_CACHE[key] = plan
+    return plan
+
+
 def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:
     """Threshold estimator: plugin where the selector count clears 2*C2*ln n,
     best-poly elsewhere.
@@ -364,8 +380,9 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     threshold = cfg.count_threshold(n_eff)
     interval = cfg.poly_interval(n_eff)
     delta = cfg.delta(n_eff)
+    plan = _composite_plan(phi, cfg, n_eff)
 
-    if L == 0 or delta >= 1.0:
+    if plan is None:
         warning = (
             f"degree floor(C1 ln n_effective) = {L} and truncation point {delta:g} "
             f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the split construction is degenerate "
@@ -396,11 +413,6 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
             )
         split = split_samples(data, rng=np.random.default_rng(cfg.rng_seed) if rng is None else rng)
 
-    key = (phi.cache_key(), L, float(interval[0]), float(interval[1]))
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = remez_best_approx(phi.eval, L, interval), range_on_interval(phi.eval, interval)
-        _PLAN_CACHE[key] = plan
     approx, clamp = plan
     if not approx.converged:
         warnings.append(

@@ -6,9 +6,12 @@ standard errors.  rate_sweep does the same for every (n, estimator) cell
 of an n-grid with an alphabet-size rule and fits log-log slopes, next to
 a closed-form rate oracle keyed on the divergence-speed exponent.  Both
 run one simulation routine, which lays every (cell, rep) task out in
-order and maps them over at most one fork pool.  Every random draw is
-seeded from (master_seed, n, k, estimator index, rep), so results are
-reproducible bit-for-bit regardless of worker count.
+order and maps them over at most one fork pool.  Each rep draws an exact
+sample of n from P, by a rule fixed by the cell: where n <= k, n symbols
+from a Walker alias table of P, counted; where n > k, numpy's multinomial
+histogram.  Every random draw is seeded from (master_seed, n, k,
+estimator index, rep), so results are reproducible bit-for-bit
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, MinifuncError
-from .estimators import ESTIMATORS, run_estimator, sample_histogram, tuned_config
+from .estimators import (
+    ESTIMATORS,
+    Histogram,
+    SplitHistograms,
+    _composite_plan,
+    run_estimator,
+    sample_histogram,
+    tuned_config,
+)
 from .functionals import Functional, additive_functional
 
 __all__ = [
@@ -175,21 +186,83 @@ def _run_task(i: int) -> float:
     return run_rep(r)
 
 
+def _alias_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table (q, alias) of P, built as in Vose (1991).
+
+    A uniform symbol j is kept with probability q[j] and replaced by
+    alias[j] otherwise, so symbol i has probability
+    (q[i] + sum over j with alias[j] = i of (1 - q[j])) / k.
+    """
+    k = P.size
+    scaled = (P * k).tolist()
+    q = [1.0] * k
+    alias = list(range(k))
+    small = [i for i, s in enumerate(scaled) if s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        q[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    # whatever is left holds 1 up to rounding, so keeps itself
+    return np.array(q), np.array(alias)
+
+
+def _sampler(P: np.ndarray, n: int, split: bool):
+    """The exact draw of one rep of a cell: rng -> run_estimator's input.
+
+    Where n > k, numpy's multinomial histogram (k conditional binomials),
+    which the composite splits in place.  Where n <= k, n symbols from
+    P's alias table, counted in O(n + k); with split, the first
+    Binomial(n, 1/2) symbols are the estimation half and the rest the
+    selector half, which has the law of thinning each sample by a fair
+    coin, since the coins are independent of the symbols.  The halves are
+    tagged as split_samples tags them.
+    """
+    k = P.size
+    if n > k:
+        return lambda rng: sample_histogram(P, n, rng=rng)
+    q, alias = _alias_table(P)
+    half = n / 2.0
+
+    def draw(rng):
+        j = rng.integers(0, k, n)
+        sym = np.where(rng.random(n) < q[j], j, alias[j])
+        if not split:
+            return Histogram(np.bincount(sym, minlength=k), n)
+        m = rng.binomial(n, 0.5)
+        return SplitHistograms(
+            est=Histogram(np.bincount(sym[:m], minlength=k), half, "poissonized"),
+            sel=Histogram(np.bincount(sym[m:], minlength=k), half, "poissonized"),
+            n_effective=half,
+        )
+
+    return draw
+
+
 def _cell(spec, estimator, n, phi, cfg, master_seed):
-    """theta and the rep function of one (spec, estimator, n) cell."""
+    """theta and the rep function of one (spec, estimator, n) cell.
+
+    What every rep reads and none draws (P, its sampler's table, the
+    composite's Remez plan) is built here, before any pool forks.
+    """
     est_idx = ESTIMATORS.index(estimator)
     dist_rng = np.random.default_rng(
         np.random.SeedSequence((master_seed, spec.k, _DIST_SEED_TAG))
     )
     P = spec.probability_vector(rng=dist_rng)
+    if estimator == "composite":
+        _composite_plan(phi, cfg, n / 2.0)
+    draw = _sampler(P, n, split=estimator == "composite")
 
     def run_rep(r: int) -> float:
         rng = np.random.default_rng(
             np.random.SeedSequence((master_seed, n, spec.k, est_idx, r))
         )
-        h = sample_histogram(P, n, rng=rng)
+        data = draw(rng)
         try:
-            return run_estimator(estimator, h, phi, cfg, rng).estimate
+            return run_estimator(estimator, data, phi, cfg, rng).estimate
         except MinifuncError as e:
             raise type(e)(
                 f"estimator {estimator!r} failed at rep {r}: {e}"
@@ -277,15 +350,18 @@ def monte_carlo_risk(
 ) -> RiskReport:
     """Estimate E[(theta_hat - theta)^2] at one distribution by simulation.
 
-    Each rep draws a fresh multinomial histogram and runs the named estimator
-    ('plugin', 'corrected', or 'composite') with tuned_config(phi.alpha)
-    constants; rep r is seeded from (master_seed, n, k, estimator index,
-    r), so a longer run extends a shorter one sample-for-sample and the
-    worker count never changes the output.  This is rate_sweep's
-    simulation on a single cell: with jobs > 1 the reps run in up to
-    min(jobs, cpu count) forked worker processes, and serially where
-    fork is unavailable.  Estimator failures are re-raised with the rep
-    index.
+    Each rep draws a fresh sample of n from the distribution and runs the
+    named estimator ('plugin', 'corrected', or 'composite') with
+    tuned_config(phi.alpha) constants.  Where n <= k the rep draws n
+    symbols from an alias table of P, and the composite's halves are the
+    first Binomial(n, 1/2) symbols and the rest; where n > k it draws a
+    multinomial histogram, which the composite splits in place.  Rep r is
+    seeded from (master_seed, n, k, estimator index, r), so a longer run
+    extends a shorter one sample-for-sample and the worker count never
+    changes the output.  This is rate_sweep's simulation on a single
+    cell: with jobs > 1 the reps run in up to min(jobs, cpu count) forked
+    worker processes, and serially where fork is unavailable.  Estimator
+    failures are re-raised with the rep index.
     """
     return _simulate([(spec, estimator, n)], phi, reps, master_seed, jobs)[0]
 

@@ -210,12 +210,25 @@ class TestHellingerLeCamBound:
             0.003482219253395371, rel=1e-10
         )
         bound = hellinger_le_cam_bound(P, Q, phi, 100)
-        assert bound == pytest.approx(302865.8732241052, rel=1e-9)
+        assert bound == pytest.approx(211979.61406212606, rel=1e-9)
         W1 = check_divergence_speed(phi, 1).W
         assert W1 == pytest.approx(0.5, rel=1e-9)
         chain = 0.25 * (W1 * 49 * math.log(2)) ** 2
         assert chain == pytest.approx(72.0979804011001, rel=1e-9)
         assert bound >= chain
+
+    @pytest.mark.parametrize(
+        "pair, n",
+        [
+            (canonical_two_point_pair(SH, 100, 1000), 1000),
+            (two_point_pair(SH, 2, 0.5, 0.49), 1),
+        ],
+        ids=["canonical", "near-identical"],
+    )
+    def test_between_kl_bound_and_midpoint_risk(self, pair, n):
+        # no two-point argument beats the midpoint estimator's risk gap^2/4
+        bound = hellinger_le_cam_bound(pair.P, pair.Q, SH, n)
+        assert le_cam_bound(pair.P, pair.Q, SH, n) <= bound <= 0.25 * pair.theta_gap**2
 
 
 class TestMeasurePairType:

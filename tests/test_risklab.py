@@ -9,7 +9,7 @@ import pytest
 
 from minifunc import risklab
 from minifunc.errors import ConfigurationError, NumericalError
-from minifunc.estimators import sample_histogram
+from minifunc.estimators import run_estimator, sample_histogram, tuned_config
 from minifunc.functionals import custom_functional, power_functional, shannon_functional
 from minifunc.risklab import (
     ESTIMATORS,
@@ -212,24 +212,27 @@ class TestMonteCarloRisk:
         assert serial.mse == forked.mse
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
-        spec = DistributionSpec("uniform", 200)
-        # the rng run_estimator sees at rep 150: its key, advanced by the draw
-        rng150 = np.random.default_rng(
-            np.random.SeedSequence((0, 200, 200, ESTIMATORS.index("plugin"), 150))
-        )
-        sample_histogram(spec.probability_vector(), 200, rng=rng150)
-        state150 = rng150.bit_generator.state
         real = risklab.run_estimator
-
-        def failing(name, h, phi, cfg, rng):
-            if rng.bit_generator.state == state150:
-                raise NumericalError("injected")
-            return real(name, h, phi, cfg, rng)
-
-        monkeypatch.setattr(risklab, "run_estimator", failing)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(NumericalError, match="failed at rep 150: injected"):
-            monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
+        # n = 200 is drawn by symbol at k = 200 and as a histogram at k = 20
+        for k in (200, 20):
+            spec = DistributionSpec("uniform", k)
+            # the rng run_estimator sees at rep 150: its key, advanced by
+            # the cell's own draw
+            rng150 = np.random.default_rng(
+                np.random.SeedSequence((0, 200, k, ESTIMATORS.index("plugin"), 150))
+            )
+            risklab._sampler(spec.probability_vector(), 200, split=False)(rng150)
+            state150 = rng150.bit_generator.state
+
+            def failing(name, h, phi, cfg, rng, state150=state150):
+                if rng.bit_generator.state == state150:
+                    raise NumericalError("injected")
+                return real(name, h, phi, cfg, rng)
+
+            monkeypatch.setattr(risklab, "run_estimator", failing)
+            with pytest.raises(NumericalError, match="failed at rep 150: injected"):
+                monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
 
     @pytest.mark.parametrize("cores, workers", [(3, 3), (10**4, 800)])
     def test_pool_capped_by_cores_and_reps(self, monkeypatch, cores, workers):
@@ -271,6 +274,84 @@ class TestMonteCarloRisk:
     def test_registry_is_stable(self):
         # seeding uses registry positions, so the order is a contract
         assert ESTIMATORS == ("plugin", "corrected", "composite")
+
+
+def _moments_within(samples, mean, cov, z=4.0):
+    """Sample mean and covariance of the rows of samples lie within z
+    standard errors of mean and cov."""
+    R = samples.shape[0]
+    x = samples - samples.mean(axis=0)
+    se_mean = np.sqrt(np.diag(cov) / R)
+    assert np.all(np.abs(samples.mean(axis=0) - mean) <= z * se_mean)
+    prods = x[:, :, None] * x[:, None, :]
+    se_cov = prods.std(axis=0) / math.sqrt(R)
+    assert np.all(np.abs(prods.mean(axis=0) - cov) <= z * se_cov)
+
+
+class TestSampler:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec("uniform", 1000),
+            DistributionSpec("zipf", 1000),
+            DistributionSpec("two_spike", 50, param=0.3),
+            DistributionSpec("dirichlet", 1000, param=0.5),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_alias_table_rebuilds_p(self, spec):
+        P = spec.probability_vector(rng=4)
+        q, alias = risklab._alias_table(P)
+        k = P.size
+        assert ((q >= 0) & (q <= 1)).all()
+        rebuilt = q / k + np.bincount(alias, weights=(1.0 - q) / k, minlength=k)
+        assert np.max(np.abs(rebuilt - P)) <= 1e-15
+
+    @pytest.fixture(scope="class")
+    def small_draws(self):
+        # k = 5, n = 4 <= k: the by-symbol path with its split
+        P = DistributionSpec("zipf", 5).probability_vector()
+        draw = risklab._sampler(P, 4, split=True)
+        rng = np.random.default_rng(11)
+        splits = [draw(rng) for _ in range(20_000)]
+        est = np.array([s.est.counts for s in splits])
+        sel = np.array([s.sel.counts for s in splits])
+        return P, est, sel, splits[0]
+
+    def test_counts_are_multinomial(self, small_draws):
+        P, est, sel, _ = small_draws
+        n = 4
+        counts = est + sel
+        assert (counts.sum(axis=1) == n).all()
+        _moments_within(counts, n * P, n * (np.diag(P) - np.outer(P, P)))
+
+    def test_estimation_half_is_binomial(self, small_draws):
+        P, est, _, _ = small_draws
+        half = P / 2.0
+        for i in range(P.size):
+            _moments_within(est[:, i : i + 1], [4 * half[i]], [[4 * half[i] * (1 - half[i])]])
+
+    def test_split_tagged_as_split_samples_tags_it(self, small_draws):
+        _, _, _, split = small_draws
+        assert split.n_effective == 2.0
+        for h in (split.est, split.sel):
+            assert h.model == "poissonized"
+            assert h.n_nominal == 2.0
+
+    @pytest.mark.parametrize("estimator", ["plugin", "composite"])
+    def test_n_above_k_is_the_multinomial_loop(self, estimator):
+        spec, n, reps, seed = DistributionSpec("zipf", 20), 200, 100, 3
+        report = monte_carlo_risk(spec, SH, estimator, n, reps=reps, master_seed=seed)
+        P = spec.probability_vector()
+        cfg = tuned_config(SH.alpha)
+        loop = []
+        for r in range(reps):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, n, spec.k, ESTIMATORS.index(estimator), r))
+            )
+            h = sample_histogram(P, n, rng=rng)
+            loop.append(run_estimator(estimator, h, SH, cfg, rng).estimate)
+        assert report.estimates.tolist() == loop
 
 
 class TestTheoreticalRate:
@@ -370,7 +451,7 @@ class TestRateSweep:
         def fail(*args, **kwargs):
             raise AssertionError("a rep ran before the exponent was checked")
 
-        monkeypatch.setattr(risklab, "sample_histogram", fail)
+        monkeypatch.setattr(risklab, "_sampler", fail)
         with pytest.raises(ConfigurationError, match="alpha"):
             rate_sweep(
                 "uniform", power_functional(alpha), ["plugin", "composite"],
