@@ -4,9 +4,12 @@ The pipeline: draw a histogram (multinomial or poissonized), thin it into
 an estimation half and a selector half, then estimate each symbol's
 phi(p_i) with the bias-corrected plugin when the selector count clears
 2*C2*ln(n) and with the unbiased best-polynomial transform otherwise.
-Degree and threshold both scale with ln(n), so the constants C1, C2 carry
-all the tuning freedom; validate_config reports which admissibility
-inequalities a choice violates, as data rather than as errors.
+That per-count rule is one object, _CompositeRule, built once per
+(phi, constants, n) by _composite_rule; a symbol's term depends on its two
+split counts and the rule alone.  Degree and threshold both scale with
+ln(n), so the constants C1, C2 carry all the tuning freedom;
+validate_config reports which admissibility inequalities a choice
+violates, as data rather than as errors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "recommended_estimator",
     "sample_histogram",
     "split_samples",
-    "best_poly_symbol_estimate",
     "CompositeResult",
     "composite_estimate",
     "corrected_plugin_estimate",
@@ -74,8 +76,8 @@ class Histogram:
             raise ConfigurationError(
                 f"model must be one of {_MODELS}, got {self.model!r}"
             )
-        if self.n_nominal < 0:
-            raise ConfigurationError("n_nominal must be non-negative")
+        if not 0 <= self.n_nominal < math.inf:
+            raise ConfigurationError(f"n_nominal must be non-negative and finite, got {self.n_nominal!r}")
         if self.model == "multinomial" and int(counts.sum()) != self.n_nominal:
             raise ConfigurationError(
                 f"multinomial counts sum to {int(counts.sum())}, expected {self.n_nominal}"
@@ -105,8 +107,8 @@ class SplitHistograms:
     def __post_init__(self):
         if self.est.k != self.sel.k:
             raise ConfigurationError("split halves must share the same alphabet size")
-        if not self.n_effective >= 0:
-            raise ConfigurationError("n_effective must be non-negative")
+        if not 0 <= self.n_effective < math.inf:
+            raise ConfigurationError(f"n_effective must be non-negative and finite, got {self.n_effective!r}")
 
     @property
     def k(self) -> int:
@@ -285,29 +287,6 @@ def split_samples(h: Histogram, rng=None) -> SplitHistograms:
     return SplitHistograms(est=est, sel=sel, n_effective=half)
 
 
-def best_poly_symbol_estimate(N: int, n: float, approx: ApproxResult, clamp) -> float:
-    """Unbiased polynomial transform sum_m a_m (N)_m / n^m, then clamp.
-
-    Evaluated in product form, term m carrying prod_{j<m} (N-j)/n, so no
-    intermediate overflows even for large N; terms vanish exactly once
-    j reaches N.  clamp is (phi_inf, phi_sup) over the poly interval.
-    This is the composite estimator's only polynomial evaluator: it runs
-    once per distinct poly-branch count, and the value is summed once per
-    count with that count's multiplicity (see _fingerprint_terms).
-    """
-    a = approx.poly.coeffs
-    lo, hi = float(min(clamp)), float(max(clamp))
-    terms = [float(a[0])]
-    prod = 1.0
-    for m in range(1, len(a)):
-        prod *= (N - (m - 1)) / n
-        if prod == 0.0:
-            break
-        terms.append(float(a[m]) * prod)
-    val = math.fsum(terms)
-    return min(max(val, lo), hi)
-
-
 def _fingerprint_terms(counts, g) -> np.ndarray:
     # per-symbol values depend only on the count, so sum F_c * g(c) over
     # the distinct counts c (F_c symbols share count c); np.unique keeps
@@ -340,20 +319,62 @@ class CompositeResult:
 _PLAN_CACHE: dict = {}
 
 
-def _composite_plan(phi: Functional, cfg: EstimatorConfig, n_eff: float):
-    """The composite's cached (best approximation, clamp) at n_eff, or None
-    where its construction is degenerate (degree 0, or delta >= 1) and it
-    falls back to the plugin."""
+@dataclass(frozen=True)
+class _CompositeRule:
+    """The composite's per-count rule at one n_eff: a symbol whose selector
+    count reaches threshold takes plugin_values of its estimation count,
+    any other poly_values.  approx and clamp (the cached best approximation
+    on interval, phi's range there) are None where the construction is
+    degenerate (degree 0, or delta >= 1) and the plain plugin answers."""
+
+    phi: Functional
+    correction_order: int
+    n_eff: float
+    degree: int
+    threshold: float
+    delta: float
+    interval: tuple
+    approx: ApproxResult | None
+    clamp: tuple | None
+
+    def plugin_values(self, counts) -> np.ndarray:
+        """Bias-corrected plugin phi_bar(N / n_eff) at each count N."""
+        return bias_corrected_fn(self.phi, self.correction_order, self.delta, self.n_eff, counts / self.n_eff)
+
+    def poly_values(self, counts) -> np.ndarray:
+        """Unbiased transform sum_m a_m (N)_m / n_eff^m at each count N, then
+        clamped.  Term m carries prod_{j<m} (N-j)/n_eff, so nothing overflows
+        even for large N and terms vanish exactly once j reaches N; each
+        count's terms are summed by math.fsum."""
+        a = self.approx.poly.coeffs
+        lo, hi = float(min(self.clamp)), float(max(self.clamp))
+        out = []
+        for N in counts.tolist():
+            terms = [float(a[0])]
+            prod = 1.0
+            for m in range(1, len(a)):
+                prod *= (N - (m - 1)) / self.n_eff
+                if prod == 0.0:
+                    break
+                terms.append(float(a[m]) * prod)
+            out.append(min(max(math.fsum(terms), lo), hi))
+        return np.array(out, dtype=float)
+
+
+def _composite_rule(phi: Functional, cfg: EstimatorConfig, n_eff: float) -> _CompositeRule:
+    """The composite's rule at n_eff, its plan taken from or put in _PLAN_CACHE."""
     L = cfg.degree(n_eff)
-    if L == 0 or cfg.delta(n_eff) >= 1.0:
-        return None
+    delta = cfg.delta(n_eff)
     interval = cfg.poly_interval(n_eff)
-    key = (phi.cache_key(), L, float(interval[0]), float(interval[1]))
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = remez_best_approx(phi.eval, L, interval), range_on_interval(phi.eval, interval)
-        _PLAN_CACHE[key] = plan
-    return plan
+    plan = (None, None)
+    if L > 0 and delta < 1.0:
+        key = (phi.cache_key(), L, float(interval[0]), float(interval[1]))
+        plan = _PLAN_CACHE.get(key)
+        if plan is None:
+            plan = remez_best_approx(phi.eval, L, interval), range_on_interval(phi.eval, interval)
+            _PLAN_CACHE[key] = plan
+    threshold = cfg.count_threshold(n_eff)
+    return _CompositeRule(phi, cfg.correction_order, n_eff, L, threshold, delta, interval, *plan)
 
 
 def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:
@@ -361,12 +382,12 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     best-poly elsewhere.
 
     data is a Histogram (split in place, so each half runs at half the
-    nominal size) or a pre-split SplitHistograms.  At degree 0 (a
-    "polynomial" that ignores the count), or when the truncation point
-    would reach 1, the construction is degenerate: before any split is
-    drawn, the plain plugin on the unsplit counts is returned with a
-    warning.  The polynomial approximation and its clamp are computed once
-    per (functional, degree, interval) and cached.
+    nominal size) or a pre-split SplitHistograms.  Each symbol's term is
+    the value of _composite_rule(phi, cfg, n_eff) at its two split counts.
+    At degree 0 (a "polynomial" that ignores the count), or when the
+    truncation point would reach 1, the construction is degenerate: before
+    any split is drawn, the plain plugin on the unsplit counts is returned
+    with a warning.
     """
     if isinstance(data, SplitHistograms):
         n_eff = data.n_effective
@@ -376,15 +397,12 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
         raise ConfigurationError(
             f"composite_estimate needs a Histogram or SplitHistograms, got {type(data).__name__}"
         )
-    L = cfg.degree(n_eff)
-    threshold = cfg.count_threshold(n_eff)
-    interval = cfg.poly_interval(n_eff)
-    delta = cfg.delta(n_eff)
-    plan = _composite_plan(phi, cfg, n_eff)
+    rule = _composite_rule(phi, cfg, n_eff)
+    construction = (n_eff, rule.degree, rule.threshold, rule.interval)
 
-    if plan is None:
+    if rule.approx is None:
         warning = (
-            f"degree floor(C1 ln n_effective) = {L} and truncation point {delta:g} "
+            f"degree floor(C1 ln n_effective) = {rule.degree} and truncation point {rule.delta:g} "
             f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the split construction is degenerate "
             "(the admissible constants' guarantee is asymptotic); "
             "falling back to the plain plugin on the unsplit counts"
@@ -393,15 +411,7 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
             value = plain_plugin_estimate(data, phi)
         else:
             value = _plain_plugin(data.est.counts + data.sel.counts, 2.0 * n_eff, phi)
-        return CompositeResult(
-            estimate=value,
-            branch_counts={"plugin": data.k, "poly": 0},
-            warnings=(warning,),
-            n_effective=n_eff,
-            degree=L,
-            threshold=threshold,
-            poly_interval=interval,
-        )
+        return CompositeResult(value, {"plugin": data.k, "poly": 0}, (warning,), *construction)
 
     warnings: list[str] = []
     split = data
@@ -413,33 +423,20 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
             )
         split = split_samples(data, rng=np.random.default_rng(cfg.rng_seed) if rng is None else rng)
 
-    approx, clamp = plan
-    if not approx.converged:
+    if not rule.approx.converged:
         warnings.append(
-            f"best-approximation search did not converge at degree {L}; using last iterate"
+            f"best-approximation search did not converge at degree {rule.degree}; using last iterate"
         )
 
     est_counts = split.est.counts
-    plugin_mask = split.sel.counts >= threshold
-    plugin_terms = _fingerprint_terms(
-        est_counts[plugin_mask],
-        lambda c: bias_corrected_fn(phi, cfg.correction_order, delta, n_eff, c / n_eff),
-    )
-    poly_terms = _fingerprint_terms(
-        est_counts[~plugin_mask],
-        lambda c: [best_poly_symbol_estimate(N, n_eff, approx, clamp) for N in c.tolist()],
-    )
-    estimate = math.fsum(np.concatenate([plugin_terms, poly_terms]).tolist())
+    plugin_mask = split.sel.counts >= rule.threshold
+    terms = np.concatenate([
+        _fingerprint_terms(est_counts[plugin_mask], rule.plugin_values),
+        _fingerprint_terms(est_counts[~plugin_mask], rule.poly_values),
+    ])
     n_plugin = int(plugin_mask.sum())
-    return CompositeResult(
-        estimate=estimate,
-        branch_counts={"plugin": n_plugin, "poly": split.k - n_plugin},
-        warnings=tuple(warnings),
-        n_effective=n_eff,
-        degree=L,
-        threshold=threshold,
-        poly_interval=interval,
-    )
+    branches = {"plugin": n_plugin, "poly": split.k - n_plugin}
+    return CompositeResult(math.fsum(terms.tolist()), branches, tuple(warnings), *construction)
 
 
 def corrected_plugin_estimate(h: Histogram, phi: Functional, cfg: EstimatorConfig) -> float:

@@ -27,7 +27,7 @@ from .estimators import (
     ESTIMATORS,
     Histogram,
     SplitHistograms,
-    _composite_plan,
+    _composite_rule,
     run_estimator,
     sample_histogram,
     tuned_config,
@@ -209,12 +209,12 @@ def _alias_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(q), np.array(alias)
 
 
-def _sampler(P: np.ndarray, n: int, split: bool):
+def _sampler(P: np.ndarray, table, n: int, split: bool):
     """The exact draw of one rep of a cell: rng -> run_estimator's input.
 
     Where n > k, numpy's multinomial histogram (k conditional binomials),
     which the composite splits in place.  Where n <= k, n symbols from
-    P's alias table, counted in O(n + k); with split, the first
+    P's alias table (q, alias), counted in O(n + k); with split, the first
     Binomial(n, 1/2) symbols are the estimation half and the rest the
     selector half, which has the law of thinning each sample by a fair
     coin, since the coins are independent of the symbols.  The halves are
@@ -223,7 +223,7 @@ def _sampler(P: np.ndarray, n: int, split: bool):
     k = P.size
     if n > k:
         return lambda rng: sample_histogram(P, n, rng=rng)
-    q, alias = _alias_table(P)
+    q, alias = table
     half = n / 2.0
 
     def draw(rng):
@@ -241,20 +241,15 @@ def _sampler(P: np.ndarray, n: int, split: bool):
     return draw
 
 
-def _cell(spec, estimator, n, phi, cfg, master_seed):
+def _cell(spec, estimator, n, phi, cfg, master_seed, P, table):
     """theta and the rep function of one (spec, estimator, n) cell.
 
-    What every rep reads and none draws (P, its sampler's table, the
-    composite's Remez plan) is built here, before any pool forks.
-    """
+    P and its alias table are built once per spec, the composite's Remez
+    plan here; all before any pool forks, so every rep only reads them."""
     est_idx = ESTIMATORS.index(estimator)
-    dist_rng = np.random.default_rng(
-        np.random.SeedSequence((master_seed, spec.k, _DIST_SEED_TAG))
-    )
-    P = spec.probability_vector(rng=dist_rng)
     if estimator == "composite":
-        _composite_plan(phi, cfg, n / 2.0)
-    draw = _sampler(P, n, split=estimator == "composite")
+        _composite_rule(phi, cfg, n / 2.0)
+    draw = _sampler(P, table, n, split=estimator == "composite")
 
     def run_rep(r: int) -> float:
         rng = np.random.default_rng(
@@ -294,9 +289,16 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     cfg = tuned_config(phi.alpha)
-    thetas, run_reps = zip(
-        *(_cell(spec, est, n, phi, cfg, master_seed) for spec, est, n in cells)
-    )
+    # P once per spec, and its alias table once where some cell draws by symbol
+    dists, tables = {}, {}
+    for spec, _, n in cells:
+        if spec not in dists:
+            seq = np.random.SeedSequence((master_seed, spec.k, _DIST_SEED_TAG))
+            dists[spec] = spec.probability_vector(rng=np.random.default_rng(seq))
+        if n <= spec.k and spec not in tables:
+            tables[spec] = _alias_table(dists[spec])
+    built = (_cell(s, est, n, phi, cfg, master_seed, dists[s], tables.get(s)) for s, est, n in cells)
+    thetas, run_reps = zip(*built)
     tasks = [(run_rep, r) for run_rep in run_reps for r in range(reps)]
 
     workers = min(jobs, os.cpu_count() or 1, len(tasks))

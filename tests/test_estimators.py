@@ -16,7 +16,6 @@ from minifunc.estimators import (
     EstimatorConfig,
     Histogram,
     SplitHistograms,
-    best_poly_symbol_estimate,
     composite_estimate,
     corrected_plugin_estimate,
     default_config,
@@ -83,6 +82,10 @@ PLUGIN_SH_HALF = 0.35157359027997265
 # with C1=0.03, C2=2.5, order 2: degree floor(0.03 ln 100) = 0, so the
 # plain plugin on the unsplit counts (4,90,1,86) at n=200
 MIXED_ESTIMATE = 2.0510073821790726
+
+# composite on _repeated_split() for Power(0.3) with C1=0.9, C2=0.5:
+# degree 4, 1167 plugin and 833 poly symbols
+POLY_BRANCH_ESTIMATE = 790.6945120780234
 
 
 def _pinned_delta_config(n: float, delta: float) -> EstimatorConfig:
@@ -256,6 +259,14 @@ class TestHistogram:
         with pytest.raises(ConfigurationError, match="n_effective"):
             SplitHistograms(est=a, sel=a, n_effective=-1.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_rate_scale(self, scale):
+        with pytest.raises(ConfigurationError, match="n_nominal must be non-negative and finite"):
+            Histogram(counts=np.array([3, 5]), n_nominal=scale, model="poissonized")
+        h = Histogram(counts=np.array([3, 5]), n_nominal=8, model="poissonized")
+        with pytest.raises(ConfigurationError, match="n_effective must be non-negative and finite"):
+            SplitHistograms(est=h, sel=h, n_effective=scale)
+
 
 class TestSampling:
     def test_degenerate_multinomial_is_deterministic(self):
@@ -352,19 +363,36 @@ class TestSplitting:
         assert abs(int(split.est.counts[0]) - 500) < 5 * math.sqrt(500)
 
 
+def _poly_symbol(N, n, approx, clamp):
+    # the composite's poly branch for one count, term by term:
+    # clamp(sum_m a_m prod_{j<m} (N - j) / n), each product taken in order
+    a = approx.poly.coeffs
+    total = math.fsum(float(a[m]) * math.prod((N - j) / n for j in range(m)) for m in range(len(a)))
+    return min(max(total, min(clamp)), max(clamp))
+
+
+def _poly_rule(approx, clamp, n):
+    # a rule built around a given approximation and clamp, for poly_values
+    return estimators._CompositeRule(
+        phi=SH, correction_order=2, n_eff=n, degree=len(approx.poly.coeffs) - 1,
+        threshold=math.inf, delta=0.0, interval=(0.0, 1.0), approx=approx, clamp=clamp,
+    )
+
+
 class TestBestPolySymbol:
     def test_constant_approx_passes_through(self):
         approx = remez_best_approx(lambda x: 0.3, 0, (0.0, 1.0))
-        for N in (0, 1, 17, 10**6):
-            assert best_poly_symbol_estimate(N, 50.0, approx, (0.0, 1.0)) == pytest.approx(0.3, rel=1e-12)
+        got = _poly_rule(approx, (0.0, 1.0), 50.0).poly_values(np.array([0, 1, 17, 10**6]))
+        assert got == pytest.approx([0.3] * 4, rel=1e-12)
 
     def test_zero_count_clamps_intercept(self):
         # best linear fit to x^2 on [0,1] is x - 1/8; at N=0 only the
         # intercept survives and the clamp floor lifts it to 0
         approx = remez_best_approx(lambda x: x * x, 1, (0.0, 1.0))
         assert approx.poly.coeffs[0] == pytest.approx(-0.125, abs=1e-9)
-        assert best_poly_symbol_estimate(0, 50.0, approx, (0.0, 1.0)) == 0.0
-        wide = best_poly_symbol_estimate(0, 50.0, approx, (-10.0, 10.0))
+        zero = np.array([0])
+        assert _poly_rule(approx, (0.0, 1.0), 50.0).poly_values(zero).tolist() == [0.0]
+        wide = _poly_rule(approx, (-10.0, 10.0), 50.0).poly_values(zero)[0]
         assert wide == pytest.approx(approx.poly.coeffs[0], rel=1e-12)
 
     def test_unbiased_for_poisson_counts(self):
@@ -383,22 +411,34 @@ class TestBestPolySymbol:
         target = math.fsum(coeffs[m] * p**m for m in range(len(coeffs)))
         se = total.std(ddof=1) / math.sqrt(total.size)
         assert abs(total.mean() - target) <= 4.0 * se
-        # the per-symbol routine agrees with the raw transform when the
+        # the rule's poly branch agrees with the raw transform when the
         # clamp is slack
-        for N in (0, 1, 5, 17):
-            api = best_poly_symbol_estimate(N, n, approx, (-1e9, 1e9))
-            inline = math.fsum(
-                [coeffs[0]]
-                + [coeffs[m] * math.prod((N - j) / n for j in range(m)) for m in range(1, len(coeffs))]
-            )
-            assert api == pytest.approx(inline, rel=1e-12)
+        counts = [0, 1, 5, 17]
+        api = _poly_rule(approx, (-1e9, 1e9), n).poly_values(np.array(counts))
+        inline = [_poly_symbol(N, n, approx, (-1e9, 1e9)) for N in counts]
+        assert api == pytest.approx(inline, rel=1e-12)
 
     def test_clamp_is_a_contraction(self):
+        # clamping moves each raw value no farther from any point of
+        # [lo, hi]; the raw values of a linear fit to x^2 span -0.125..2.9
+        approx = remez_best_approx(lambda x: x * x, 1, (0.0, 1.0))
+        counts = np.arange(0, 150, 4)
+        raw = _poly_rule(approx, (-1e9, 1e9), 50.0).poly_values(counts)
         lo, hi = 0.1, 0.7
-        for x in np.linspace(-2.0, 3.0, 41):
-            clamped = min(max(x, lo), hi)
-            for v in np.linspace(lo, hi, 13):
-                assert abs(clamped - v) <= abs(x - v) + 1e-15
+        clamped = _poly_rule(approx, (lo, hi), 50.0).poly_values(counts)
+        assert raw.min() < lo and raw.max() > hi
+        for v in np.linspace(lo, hi, 13):
+            assert (np.abs(clamped - v) <= np.abs(raw - v) + 1e-15).all()
+
+    @pytest.mark.parametrize("phi", [SH, power_functional(0.5)], ids=["shannon", "power0.5"])
+    def test_poly_values_equal_the_scalar_reference(self, phi):
+        cfg = tuned_config(phi.alpha)
+        rule = estimators._composite_rule(phi, cfg, 5000.0)
+        L = rule.degree
+        assert L > 1
+        counts = [0, 1, L - 1, L, L + 1, 17, 10**6, 10**12, 2**53 + 1]
+        want = [_poly_symbol(N, 5000.0, rule.approx, rule.clamp) for N in counts]
+        assert rule.poly_values(np.array(counts, dtype=np.int64)).tolist() == want
 
 
 def _plugin_symbol(N, n, phi, cfg):
@@ -460,9 +500,7 @@ class TestComposite:
         assert res.branch_counts == {"plugin": 0, "poly": 4}
         approx = remez_best_approx(SH.eval, cfg.degree(100.0), cfg.poly_interval(100.0))
         clamp = range_on_interval(SH.eval, cfg.poly_interval(100.0))
-        want = math.fsum(
-            best_poly_symbol_estimate(int(N), 100.0, approx, clamp) for N in est.counts
-        )
+        want = math.fsum(_poly_symbol(int(N), 100.0, approx, clamp) for N in est.counts)
         assert res.estimate == pytest.approx(want, rel=1e-12)
 
     def test_mixed_branches_frozen_value(self):
@@ -473,6 +511,11 @@ class TestComposite:
         assert res.threshold == 23.02585092994046
         assert res.degree == 0
         assert res.estimate == pytest.approx(MIXED_ESTIMATE, rel=1e-12)
+
+    def test_poly_branch_frozen_value(self):
+        res = composite_estimate(_repeated_split(), power_functional(0.3), EstimatorConfig(0.9, 0.5))
+        assert (res.degree, res.branch_counts) == (4, {"plugin": 1167, "poly": 833})
+        assert res.estimate == POLY_BRANCH_ESTIMATE
 
     @pytest.mark.parametrize(
         "make_split, cfg",
@@ -500,7 +543,7 @@ class TestComposite:
                 if N_sel >= res.threshold:
                     terms.append(_plugin_symbol(int(N_est), 100.0, phi, cfg))
                 else:
-                    terms.append(best_poly_symbol_estimate(int(N_est), 100.0, approx, clamp))
+                    terms.append(_poly_symbol(int(N_est), 100.0, approx, clamp))
         assert res.estimate == pytest.approx(math.fsum(terms), rel=1e-13)
 
     def test_permutation_invariance(self):

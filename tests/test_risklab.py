@@ -222,7 +222,8 @@ class TestMonteCarloRisk:
             rng150 = np.random.default_rng(
                 np.random.SeedSequence((0, 200, k, ESTIMATORS.index("plugin"), 150))
             )
-            risklab._sampler(spec.probability_vector(), 200, split=False)(rng150)
+            P = spec.probability_vector()
+            risklab._sampler(P, risklab._alias_table(P), 200, split=False)(rng150)
             state150 = rng150.bit_generator.state
 
             def failing(name, h, phi, cfg, rng, state150=state150):
@@ -311,7 +312,7 @@ class TestSampler:
     def small_draws(self):
         # k = 5, n = 4 <= k: the by-symbol path with its split
         P = DistributionSpec("zipf", 5).probability_vector()
-        draw = risklab._sampler(P, 4, split=True)
+        draw = risklab._sampler(P, risklab._alias_table(P), 4, split=True)
         rng = np.random.default_rng(11)
         splits = [draw(rng) for _ in range(20_000)]
         est = np.array([s.est.counts for s in splits])
@@ -457,6 +458,15 @@ class TestRateSweep:
                 "uniform", power_functional(alpha), ["plugin", "composite"],
                 [30, 60, 120, 300], reps=100,
             )
+
+    def test_alias_table_built_once_per_distribution(self, monkeypatch):
+        # 4 n values x 2 estimators, all drawn by symbol at k = n: one
+        # table per distinct P, not one per cell
+        built = []
+        real = risklab._alias_table
+        monkeypatch.setattr(risklab, "_alias_table", lambda P: built.append(P.size) or real(P))
+        rate_sweep("uniform", SH, ["plugin", "composite"], [30, 60, 120, 300], reps=100)
+        assert built == [30, 60, 120, 300]
 
     def test_csv_identical_across_jobs(self, uniform_sweeps):
         one, three = uniform_sweeps
