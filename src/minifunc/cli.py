@@ -532,7 +532,18 @@ def main(argv=None) -> int:
         return code
     phi_doc = {"kind": phi.kind} if phi.kind == "shannon" else {"kind": phi.kind, "alpha": phi.alpha}
     doc = {"command": args.command, "config": dict(params, phi=phi_doc, seed=args.seed), **body}
-    print(json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False))
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the
+        # interpreter's own flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before the result was written", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -337,6 +337,17 @@ class _CompositeRule:
     approx: ApproxResult | None
     clamp: tuple | None
 
+    def branch(self, sel_counts) -> np.ndarray:
+        """Each symbol's branch from its selector count: True (1) where the
+        count reaches threshold, else False (0).  The symbol's term is
+        branch_values[branch] at its estimation count."""
+        return sel_counts >= self.threshold
+
+    @property
+    def branch_values(self) -> tuple:
+        """The value functions of the estimation count, by branch: poly, plugin."""
+        return (self.poly_values, self.plugin_values)
+
     def plugin_values(self, counts) -> np.ndarray:
         """Bias-corrected plugin phi_bar(N / n_eff) at each count N."""
         return bias_corrected_fn(self.phi, self.correction_order, self.delta, self.n_eff, counts / self.n_eff)
@@ -428,24 +439,28 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
             f"best-approximation search did not converge at degree {rule.degree}; using last iterate"
         )
 
-    est_counts = split.est.counts
-    plugin_mask = split.sel.counts >= rule.threshold
-    terms = np.concatenate([
-        _fingerprint_terms(est_counts[plugin_mask], rule.plugin_values),
-        _fingerprint_terms(est_counts[~plugin_mask], rule.poly_values),
-    ])
-    n_plugin = int(plugin_mask.sum())
+    branch = rule.branch(split.sel.counts)
+    terms = np.concatenate(
+        [_fingerprint_terms(split.est.counts[branch == b], g) for b, g in enumerate(rule.branch_values)]
+    )
+    n_plugin = int(branch.sum())
     branches = {"plugin": n_plugin, "poly": split.k - n_plugin}
     return CompositeResult(math.fsum(terms.tolist()), branches, tuple(warnings), *construction)
 
 
 def corrected_plugin_estimate(h: Histogram, phi: Functional, cfg: EstimatorConfig) -> float:
     """Sum of bias-corrected plugin values over all symbols, no splitting."""
-    n = h.n_nominal
-    terms = _fingerprint_terms(
-        h.counts, lambda c: bias_corrected_fn(phi, cfg.correction_order, cfg.delta(n), n, c / n)
-    )
+    terms = _fingerprint_terms(h.counts, _corrected_values(phi, cfg, h.n_nominal))
     return math.fsum(terms.tolist())
+
+
+def _corrected_values(phi: Functional, cfg: EstimatorConfig, n):
+    """The corrected plugin's value bias_corrected_fn(N / n) as a function of
+    the count N.  n is checked here, before any count is divided by it."""
+    if not n > 0:
+        raise ConfigurationError(f"sample size n must be positive, got {n!r}")
+    delta = cfg.delta(n)
+    return lambda c: bias_corrected_fn(phi, cfg.correction_order, delta, n, c / n)
 
 
 def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
@@ -454,13 +469,40 @@ def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
 
 
 def _plain_plugin(counts, n, phi: Functional) -> float:
+    return math.fsum(_fingerprint_terms(counts, _plugin_values(phi, n)).tolist())
+
+
+def _plugin_values(phi: Functional, n):
+    """The plain plugin's value phi(N / n) as a function of the count N; an
+    empty sample (n = 0, every count 0) is read at n = 1."""
     n = n if n > 0 else 1
-    return math.fsum(_fingerprint_terms(counts, lambda c: phi.eval(c / n)).tolist())
+    return lambda c: phi.eval(c / n)
 
 
 # registry order is part of the seeding contract: the estimator's index
 # feeds the per-rep seed tuple
 ESTIMATORS = ("plugin", "corrected", "composite")
+
+
+def _count_rule(name: str, phi: Functional, cfg: EstimatorConfig, n: int):
+    """(rule, values): how estimator name values each symbol of a sample of n.
+
+    values holds one function of a count per branch.  rule is None where
+    every symbol takes values[0] of its count: the plugins, and the
+    composite where it falls back to the plain plugin.  Otherwise rule is
+    the composite's _CompositeRule at n / 2, the sample is split, and a
+    symbol takes values[rule.branch(selector count)] of its estimation
+    count.  Each estimate is the sum of its symbols' values.
+    """
+    if name == "composite":
+        rule = _composite_rule(phi, cfg, n / 2.0)
+        if rule.approx is not None:
+            return rule, rule.branch_values
+    elif name == "corrected":
+        return None, (_corrected_values(phi, cfg, n),)
+    elif name != "plugin":
+        raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
+    return None, (_plugin_values(phi, n),)
 
 
 def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:

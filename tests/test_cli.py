@@ -610,6 +610,30 @@ class TestEstimateCommand:
         cfg = default_config(1.0, rng_seed=0)
         assert doc["estimate"] == corrected_plugin_estimate(h, shannon_functional(), cfg)
 
+    def test_corrected_on_an_empty_sample_one_error_line(self, tmp_path):
+        # a child process, so that a numpy warning would reach its stderr
+        path = tmp_path / "zeros.csv"
+        path.write_text("symbol,count\n0,0\n1,0\n")
+        proc = _run_module("estimate", "--phi", "shannon", "--input", str(path),
+                           "--estimator", "corrected")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: sample size n must be positive, got 0"]
+
+    def test_closed_stdout_exits_3_without_a_traceback(self, uniform_file):
+        # the read end of the child's stdout pipe is closed before it writes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_module("estimate", "--phi", "shannon", "--input", uniform_file,
+                               stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "error: standard output was closed before the result was written"
+        ]
+
     def test_malformed_input_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("symbol,count\n0,3\n1;4\n")
@@ -1207,12 +1231,24 @@ print(json.dumps({"code": code, "scipy": scipy, "numpy.ma": "numpy.ma" in sys.mo
 """
 
 
-def _run_child(code, *args):
+def _child_env():
     src = str(Path(minifunc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _run_child(code, *args):
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+
+
+def _run_module(*argv, stdout=subprocess.PIPE):
+    """minifunc.cli run as a module in a child interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "minifunc.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120,
     )
 
 

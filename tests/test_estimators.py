@@ -655,6 +655,15 @@ class TestPluginEstimators:
             )
             assert got == pytest.approx(want, rel=1e-14)
 
+    def test_corrected_rejects_an_empty_sample_before_dividing(self):
+        # n = 0 is checked before any count is divided by it, so the
+        # suite's RuntimeWarning filter does not turn a 0/0 into the error
+        h = Histogram(counts=np.zeros(3, dtype=np.int64), n_nominal=0)
+        with pytest.raises(ConfigurationError, match="sample size n must be positive, got 0"):
+            corrected_plugin_estimate(h, SH, tuned_config(1.0))
+        with pytest.raises(ConfigurationError, match="sample size n must be positive, got 0"):
+            run_estimator("corrected", h, SH, tuned_config(1.0))
+
     def test_plain_plugin_matches_manual_sum(self):
         for h in _PLUGIN_HISTOGRAMS:
             got = plain_plugin_estimate(h, SH)

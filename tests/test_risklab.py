@@ -1,5 +1,6 @@
 """Tests for distribution families, Monte Carlo risk, and rate sweeps."""
 
+import collections
 import math
 import multiprocessing
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from minifunc import risklab
+from minifunc import estimators, risklab
 from minifunc.errors import ConfigurationError, NumericalError
 from minifunc.estimators import run_estimator, sample_histogram, tuned_config
 from minifunc.functionals import custom_functional, power_functional, shannon_functional
@@ -212,26 +213,25 @@ class TestMonteCarloRisk:
         assert serial.mse == forked.mse
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
-        real = risklab.run_estimator
+        real = risklab._fingerprint_estimate
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # n = 200 is drawn by symbol at k = 200 and as a histogram at k = 20
         for k in (200, 20):
             spec = DistributionSpec("uniform", k)
-            # the rng run_estimator sees at rep 150: its key, advanced by
-            # the cell's own draw
+            # the histogram the estimate sees at rep 150: the cell's own
+            # draw from that rep's key
             rng150 = np.random.default_rng(
                 np.random.SeedSequence((0, 200, k, ESTIMATORS.index("plugin"), 150))
             )
             P = spec.probability_vector()
-            risklab._sampler(P, risklab._alias_table(P), 200, split=False)(rng150)
-            state150 = rng150.bit_generator.state
+            counts150 = risklab._sampler(P, risklab._alias_table(P), 200, split=False)(rng150).counts
 
-            def failing(name, h, phi, cfg, rng, state150=state150):
-                if rng.bit_generator.state == state150:
+            def failing(h, rule, tables, counts150=counts150):
+                if np.array_equal(h.counts, counts150):
                     raise NumericalError("injected")
-                return real(name, h, phi, cfg, rng)
+                return real(h, rule, tables)
 
-            monkeypatch.setattr(risklab, "run_estimator", failing)
+            monkeypatch.setattr(risklab, "_fingerprint_estimate", failing)
             with pytest.raises(NumericalError, match="failed at rep 150: injected"):
                 monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
 
@@ -271,6 +271,37 @@ class TestMonteCarloRisk:
         spec = DistributionSpec("uniform", 4)
         with pytest.raises(ConfigurationError, match="rep 0"):
             monte_carlo_risk(spec, phi, "corrected", 100, reps=100)
+
+    @pytest.mark.parametrize("estimator", ["corrected", "composite"])
+    def test_values_evaluated_per_table_fill_not_per_rep(self, monkeypatch, estimator):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        rule = estimators._CompositeRule
+        monkeypatch.setattr(rule, "poly_values", counting("poly", rule.poly_values))
+        monkeypatch.setattr(rule, "plugin_values", counting("plugin", rule.plugin_values))
+        monkeypatch.setattr(
+            estimators, "bias_corrected_fn", counting("corrected", estimators.bias_corrected_fn)
+        )
+        # counts near n/2 in a cell at k = n: the tables grow past their first fill
+        n = 1000
+        monte_carlo_risk(DistributionSpec("two_spike", n), SH, estimator, n, reps=1000)
+        # a table doubles up to n + 1 entries, so it is filled at most
+        # log2(n + 1) + 1 times, however many reps read it
+        fills = math.log2(n + 1) + 1
+        if estimator == "composite":
+            assert calls["plugin"] >= 2
+            assert calls["poly"] <= fills
+            assert calls["plugin"] <= fills
+        else:
+            assert calls["poly"] == calls["plugin"] == 0
+        assert 2 <= calls["corrected"] <= fills
 
     def test_registry_is_stable(self):
         # seeding uses registry positions, so the order is a contract
@@ -352,6 +383,33 @@ class TestSampler:
             )
             h = sample_histogram(P, n, rng=rng)
             loop.append(run_estimator(estimator, h, SH, cfg, rng).estimate)
+        assert report.estimates.tolist() == loop
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize(
+        "phi, spec, n",
+        [
+            # order-4 correction, n = k by symbol
+            (power_functional(1.2), DistributionSpec("zipf", 300), 300),
+            # counts near n/2 at k = n grow the plugin tables past their first fill
+            (SH, DistributionSpec("two_spike", 400), 400),
+            # n > k, every count within k: a multinomial histogram, tabled
+            (SH, DistributionSpec("uniform", 40), 200),
+        ],
+        ids=["power1.2-zipf", "two_spike", "uniform-n-above-k"],
+    )
+    def test_reps_are_the_sampler_and_run_estimator_loop(self, phi, spec, n, estimator):
+        reps, seed = 100, 3
+        report = monte_carlo_risk(spec, phi, estimator, n, reps=reps, master_seed=seed)
+        P = spec.probability_vector()
+        draw = risklab._sampler(P, risklab._alias_table(P), n, split=estimator == "composite")
+        cfg = tuned_config(phi.alpha)
+        loop = []
+        for r in range(reps):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, n, spec.k, ESTIMATORS.index(estimator), r))
+            )
+            loop.append(run_estimator(estimator, draw(rng), phi, cfg, rng).estimate)
         assert report.estimates.tolist() == loop
 
 
