@@ -485,7 +485,8 @@ ESTIMATORS = ("plugin", "corrected", "composite")
 
 
 def _count_rule(name: str, phi: Functional, cfg: EstimatorConfig, n: int):
-    """(rule, values): how estimator name values each symbol of a sample of n.
+    """(rule, values): how estimator name, one of ESTIMATORS, values each
+    symbol of a sample of n.
 
     values holds one function of a count per branch.  rule is None where
     every symbol takes values[0] of its count: the plugins, and the
@@ -500,8 +501,6 @@ def _count_rule(name: str, phi: Functional, cfg: EstimatorConfig, n: int):
             return rule, rule.branch_values
     elif name == "corrected":
         return None, (_corrected_values(phi, cfg, n),)
-    elif name != "plugin":
-        raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
     return None, (_plugin_values(phi, n),)
 
 

@@ -282,13 +282,18 @@ def _fingerprint_estimate(data, rule, tables) -> float:
     count, or for the composite (rule not None) its estimation count and
     rule.branch of its selector count.  F[key] symbols share a key, so the
     estimate is the math.fsum of F[key] * tables[branch].at(count) over the
-    keys present: the same terms run_estimator sums.  F is read off the
-    sorted keys by a binary search per key value while every count is
-    within the tables' limit, so its size is O(limit); otherwise the keys
-    are grouped by np.unique.  (np.bincount would read F straight off the
-    keys, but where most counts are 0 its increments of F[0] queue up on
-    one another: at k = 92 103, n = 1e4 it took 3.5 times as long as the
-    sort, with numpy 2.4 on an AVX-512 Xeon.)
+    keys present: the same terms run_estimator sums.  While every count
+    is within the tables' limit, F is read off the sorted keys by one
+    binary search per key value up to the largest, O(limit) of them;
+    past it (n > k cells only) the keys are grouped by np.unique, which
+    costs O(k) whatever the counts.  The binary searches are quicker
+    where, as at k >= n, the largest key is small: per rep, uniform
+    shannon, numpy 2.4 on a 2-core AVX-512 Xeon, np.unique alone took
+    38 against 27 us (plugin) and 65 against 58 us (composite) at
+    k = n = 1e4, and 256 against 156 us and 558 against 476 us at
+    k = 92 103, n = 1e4.  (np.bincount would read F straight off the
+    keys, but where most counts are 0 its increments of F[0] queue up:
+    at k = 92 103, n = 1e4 it took 3.5 times as long as the sort.)
     """
     B = len(tables)
     if rule is None:

@@ -395,8 +395,10 @@ class TestSampler:
             (SH, DistributionSpec("two_spike", 400), 400),
             # n > k, every count within k: a multinomial histogram, tabled
             (SH, DistributionSpec("uniform", 40), 200),
+            # n > k, counts far above k: grouped by np.unique, evaluated directly
+            (SH, DistributionSpec("uniform", 5), 1000),
         ],
-        ids=["power1.2-zipf", "two_spike", "uniform-n-above-k"],
+        ids=["power1.2-zipf", "two_spike", "uniform-n-above-k", "uniform-counts-above-k"],
     )
     def test_reps_are_the_sampler_and_run_estimator_loop(self, phi, spec, n, estimator):
         reps, seed = 100, 3
