@@ -9,11 +9,12 @@ run one simulation routine, which lays every (cell, rep) task out in
 order and maps them over at most one fork pool.  Each rep draws an exact
 sample of n from P, by a rule fixed by the cell: where n <= k, n symbols
 from a Walker alias table of P, counted; where n > k, numpy's multinomial
-histogram.  A symbol's term depends only on its count (for the composite,
-its two split counts), so a rep is evaluated from its count fingerprint:
-how many symbols share each count, times the estimator's value at that
-count, read from tables the cell fills once.  The estimates are
-byte-identical to run_estimator's on the same draw.  Every random draw is
+histogram.  A rep draws bare count arrays.  A symbol's term depends only
+on its count (for the composite, its two split counts), so a rep's
+estimate is estimators._fingerprint_sum of its counts: how many symbols
+share each count, times the estimator's value at that count, read from
+tables the cell fills once.  The estimates are byte-identical to
+run_estimator's on the same draw.  Every random draw is
 seeded from (master_seed, n, k, estimator index, rep), so results are
 reproducible bit-for-bit regardless of worker count.
 """
@@ -21,21 +22,14 @@ reproducible bit-for-bit regardless of worker count.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, MinifuncError
-from .estimators import (
-    ESTIMATORS,
-    Histogram,
-    SplitHistograms,
-    _count_rule,
-    sample_histogram,
-    split_samples,
-    tuned_config,
-)
+from .estimators import ESTIMATORS, _count_rule, _fingerprint_sum, tuned_config
 from .functionals import Functional, additive_functional
 
 __all__ = [
@@ -76,6 +70,10 @@ class DistributionSpec:
             raise ConfigurationError(
                 f"family must be one of {_FAMILIES}, got {self.family!r}"
             )
+        try:
+            operator.index(self.k)
+        except TypeError:
+            raise ConfigurationError(f"alphabet size must be an integer, got {self.k!r}") from None
         if self.k < 1:
             raise ConfigurationError(f"alphabet size must be >= 1, got {self.k}")
         if self.family == "two_spike":
@@ -214,36 +212,34 @@ def _alias_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sampler(P: np.ndarray, table, n: int, split: bool):
-    """The exact draw of one rep of a cell: rng -> its Histogram, or with
-    split its SplitHistograms, as run_estimator would see and split them.
+    """The exact draw of one rep of a cell: rng -> its counts, or with split
+    its (estimation, selector) counts, as run_estimator would see them.
 
     Where n > k, numpy's multinomial histogram (k conditional binomials),
-    with split thinned in place by split_samples from the same rng.  Where
-    n <= k, n symbols from P's alias table (q, alias), counted in O(n + k);
-    with split, the first Binomial(n, 1/2) symbols are the estimation half
-    and the rest the selector half, which has the law of thinning each
-    sample by a fair coin, since the coins are independent of the symbols.
-    The halves are tagged as split_samples tags them.
+    with split thinned by Binomial(count, 1/2) per symbol: the calls
+    sample_histogram and split_samples make on the same rng.  Where
+    n <= k, n symbols from P's alias table (q, alias), counted in
+    O(n + k); with split, the first Binomial(n, 1/2) symbols are the
+    estimation half and the rest the selector half, which has the law of
+    thinning each sample by a fair coin, since the coins are independent
+    of the symbols.
     """
     k = P.size
-    if n > k:
-        if split:
-            return lambda rng: split_samples(sample_histogram(P, n, rng=rng), rng=rng)
-        return lambda rng: sample_histogram(P, n, rng=rng)
-    q, alias = table
-    half = n / 2.0
 
     def draw(rng):
+        if n > k:
+            counts = rng.multinomial(n, P)
+            if not split:
+                return counts
+            est = rng.binomial(counts, 0.5)
+            return est, counts - est
+        q, alias = table
         j = rng.integers(0, k, n)
         sym = np.where(rng.random(n) < q[j], j, alias[j])
         if not split:
-            return Histogram(np.bincount(sym, minlength=k), n)
+            return np.bincount(sym, minlength=k)
         m = rng.binomial(n, 0.5)
-        return SplitHistograms(
-            est=Histogram(np.bincount(sym[:m], minlength=k), half, "poissonized"),
-            sel=Histogram(np.bincount(sym[m:], minlength=k), half, "poissonized"),
-            n_effective=half,
-        )
+        return np.bincount(sym[:m], minlength=k), np.bincount(sym[m:], minlength=k)
 
     return draw
 
@@ -251,11 +247,11 @@ def _sampler(P: np.ndarray, table, n: int, split: bool):
 class _CountTable:
     """values[c] = fn(c) for the counts c = 0, 1, ..., filled on demand.
 
-    at() fills the table, doubling it, up to the largest count asked for,
-    but never past limit; larger counts are handed to fn directly.  fn is
-    the estimator's own per-count function, and numpy gives the same bits
-    for a count wherever it sits in the array, so a table entry is the
-    value run_estimator computes for that count."""
+    at() stands in for fn in _fingerprint_sum: it fills the table, doubling
+    it, up to the largest count asked for, but never past limit; larger
+    counts are handed to fn directly.  fn is the estimator's own per-count
+    function, and numpy gives the same bits for a count wherever it sits
+    in the array, so a table entry is the value run_estimator computes."""
 
     def __init__(self, fn, limit: int):
         self.fn = fn
@@ -275,47 +271,6 @@ class _CountTable:
         return self.values[counts]
 
 
-def _fingerprint_estimate(data, rule, tables) -> float:
-    """One rep's estimate from its count fingerprint.
-
-    Each symbol's key is B * count + branch, with B = len(tables): its
-    count, or for the composite (rule not None) its estimation count and
-    rule.branch of its selector count.  F[key] symbols share a key, so the
-    estimate is the math.fsum of F[key] * tables[branch].at(count) over the
-    keys present: the same terms run_estimator sums.  While every count
-    is within the tables' limit, F is read off the sorted keys by one
-    binary search per key value up to the largest, O(limit) of them;
-    past it (n > k cells only) the keys are grouped by np.unique, which
-    costs O(k) whatever the counts.  The binary searches are quicker
-    where, as at k >= n, the largest key is small: per rep, uniform
-    shannon, numpy 2.4 on a 2-core AVX-512 Xeon, np.unique alone took
-    38 against 27 us (plugin) and 65 against 58 us (composite) at
-    k = n = 1e4, and 256 against 156 us and 558 against 476 us at
-    k = 92 103, n = 1e4.  (np.bincount would read F straight off the
-    keys, but where most counts are 0 its increments of F[0] queue up:
-    at k = 92 103, n = 1e4 it took 3.5 times as long as the sort.)
-    """
-    B = len(tables)
-    if rule is None:
-        keys = data.counts
-    else:
-        keys = B * data.est.counts + rule.branch(data.sel.counts)
-    keys = np.sort(keys)
-    top = int(keys[-1])
-    if top < B * (tables[0].limit + 1):
-        F = np.diff(np.searchsorted(keys, np.arange(top + 2)))
-        keys = np.flatnonzero(F)
-        mult = F[keys]
-    else:
-        keys, mult = np.unique(keys, return_counts=True)
-    counts, branch = np.divmod(keys, B)
-    values = np.empty(keys.size)
-    for b, table in enumerate(tables):
-        at = branch == b
-        values[at] = table.at(counts[at])
-    return math.fsum((mult * values).tolist())
-
-
 def _cell(spec, estimator, n, phi, cfg, master_seed, P, table):
     """theta and the rep function of one (spec, estimator, n) cell.
 
@@ -323,20 +278,24 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, P, table):
     per-count rule (the composite's Remez plan included) here; all before
     any pool forks, so every rep only reads them.  The rule's value
     functions become one _CountTable per branch, limited to min(n, k),
-    which each process fills as its reps need; a rep is then a draw, a
-    count of its keys, a table gather and one math.fsum."""
+    which each process fills as its reps need; a rep is then a draw of
+    bare counts and one _fingerprint_sum against the tables."""
     est_idx = ESTIMATORS.index(estimator)
     rule, values = _count_rule(estimator, phi, cfg, n)
     draw = _sampler(P, table, n, split=rule is not None)
-    tables = [_CountTable(fn, min(n, spec.k)) for fn in values]
+    tabled = [_CountTable(fn, min(n, spec.k)).at for fn in values]
 
     def run_rep(r: int) -> float:
         rng = np.random.default_rng(
             np.random.SeedSequence((master_seed, n, spec.k, est_idx, r))
         )
-        data = draw(rng)
+        if rule is None:
+            counts, branch = draw(rng), None
+        else:
+            counts, sel = draw(rng)
+            branch = rule.branch(sel)
         try:
-            return _fingerprint_estimate(data, rule, tables)
+            return _fingerprint_sum(counts, branch, tabled)
         except MinifuncError as e:
             raise type(e)(
                 f"estimator {estimator!r} failed at rep {r}: {e}"

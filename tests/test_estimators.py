@@ -233,6 +233,15 @@ class TestHistogram:
         with pytest.raises(ConfigurationError, match="non-negative"):
             Histogram(counts=np.array([3, -1, 8]), n_nominal=10)
 
+    @pytest.mark.parametrize("big", [1e20, math.inf, 2.0**63, -math.inf, -1e20])
+    def test_rejects_float_counts_past_int64_before_casting(self, big):
+        # the cast would warn and wrap; the range is checked first
+        with pytest.raises(ConfigurationError, match=r"below 2\*\*63"):
+            Histogram(counts=np.array([big, 0.0]), n_nominal=1, model="poissonized")
+        top = 2.0**63 - 1024  # the largest float below 2**63
+        h = Histogram(counts=np.array([top, 0.0]), n_nominal=1, model="poissonized")
+        assert h.counts.tolist() == [2**63 - 1024, 0]
+
     @pytest.mark.parametrize("counts", [np.array([], dtype=np.int64), np.ones((2, 2), dtype=np.int64)],
                              ids=["empty", "2d"])
     def test_rejects_empty_or_2d_counts(self, counts):
@@ -748,6 +757,36 @@ class TestRunEstimator:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="estimator must be one of"):
             run_estimator("oracle", _REGISTRY_HISTOGRAMS[0], SH, tuned_config(1.0))
+
+
+# values with short dyadic significands, so multiplicity x value is exact and
+# the fingerprint sum must equal the per-symbol sum bit for bit
+_DYADIC_VALUES = (lambda c: c / 4.0 + 0.5, lambda c: 100.0 - c / 8.0)
+
+
+class TestFingerprintSum:
+    K = 50
+
+    @pytest.mark.parametrize("B", [1, 2])
+    @pytest.mark.parametrize(
+        "top", [K - 1, K, None], ids=["just-below-k", "at-k", "far-above-k"]
+    )
+    def test_equals_the_per_symbol_sum_either_side_of_the_grouping_switch(self, B, top):
+        # the largest key B * count + branch is top; far above k it is the
+        # largest key an int64 count can give, 2**64 - 1 at B = 2
+        rng = np.random.default_rng(B)
+        counts = rng.integers(0, (self.K - 1) // B, self.K)
+        branch = rng.integers(0, B, self.K) if B == 2 else np.zeros(self.K, dtype=np.int64)
+        if top is None:
+            counts[7], branch[7] = 2**63 - 1, B - 1
+        else:
+            counts[7], branch[7] = divmod(top, B)
+        values = _DYADIC_VALUES[:B]
+        want = math.fsum(
+            float(values[b](np.array([c]))[0]) for c, b in zip(counts.tolist(), branch.tolist())
+        )
+        got = estimators._fingerprint_sum(counts, branch == 1 if B == 2 else None, values)
+        assert got == want
 
 
 class TestCorrectionOrderIdentity:

@@ -10,7 +10,13 @@ import pytest
 
 from minifunc import estimators, risklab
 from minifunc.errors import ConfigurationError, NumericalError
-from minifunc.estimators import run_estimator, sample_histogram, tuned_config
+from minifunc.estimators import (
+    Histogram,
+    SplitHistograms,
+    run_estimator,
+    sample_histogram,
+    tuned_config,
+)
 from minifunc.functionals import custom_functional, power_functional, shannon_functional
 from minifunc.risklab import (
     ESTIMATORS,
@@ -93,6 +99,10 @@ class TestDistributionSpec:
             DistributionSpec("geometric", 4)
         with pytest.raises(ConfigurationError, match=">= 1"):
             DistributionSpec("uniform", 0)
+        for k in (2.5, 3.0, "4"):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                DistributionSpec("uniform", k)
+        assert DistributionSpec("uniform", np.int64(3)).probability_vector().size == 3
         with pytest.raises(ConfigurationError, match="k >= 2"):
             DistributionSpec("two_spike", 1)
         with pytest.raises(ConfigurationError, match="positive"):
@@ -213,25 +223,25 @@ class TestMonteCarloRisk:
         assert serial.mse == forked.mse
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
-        real = risklab._fingerprint_estimate
+        real = risklab._fingerprint_sum
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # n = 200 is drawn by symbol at k = 200 and as a histogram at k = 20
         for k in (200, 20):
             spec = DistributionSpec("uniform", k)
-            # the histogram the estimate sees at rep 150: the cell's own
-            # draw from that rep's key
+            # the counts the estimate sees at rep 150: the cell's own draw
+            # from that rep's key
             rng150 = np.random.default_rng(
                 np.random.SeedSequence((0, 200, k, ESTIMATORS.index("plugin"), 150))
             )
             P = spec.probability_vector()
-            counts150 = risklab._sampler(P, risklab._alias_table(P), 200, split=False)(rng150).counts
+            counts150 = risklab._sampler(P, risklab._alias_table(P), 200, split=False)(rng150)
 
-            def failing(h, rule, tables, counts150=counts150):
-                if np.array_equal(h.counts, counts150):
+            def failing(counts, branch, values, counts150=counts150):
+                if np.array_equal(counts, counts150):
                     raise NumericalError("injected")
-                return real(h, rule, tables)
+                return real(counts, branch, values)
 
-            monkeypatch.setattr(risklab, "_fingerprint_estimate", failing)
+            monkeypatch.setattr(risklab, "_fingerprint_sum", failing)
             with pytest.raises(NumericalError, match="failed at rep 150: injected"):
                 monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
 
@@ -345,30 +355,21 @@ class TestSampler:
         P = DistributionSpec("zipf", 5).probability_vector()
         draw = risklab._sampler(P, risklab._alias_table(P), 4, split=True)
         rng = np.random.default_rng(11)
-        splits = [draw(rng) for _ in range(20_000)]
-        est = np.array([s.est.counts for s in splits])
-        sel = np.array([s.sel.counts for s in splits])
-        return P, est, sel, splits[0]
+        est, sel = map(np.array, zip(*(draw(rng) for _ in range(20_000))))
+        return P, est, sel
 
     def test_counts_are_multinomial(self, small_draws):
-        P, est, sel, _ = small_draws
+        P, est, sel = small_draws
         n = 4
         counts = est + sel
         assert (counts.sum(axis=1) == n).all()
         _moments_within(counts, n * P, n * (np.diag(P) - np.outer(P, P)))
 
     def test_estimation_half_is_binomial(self, small_draws):
-        P, est, _, _ = small_draws
+        P, est, _ = small_draws
         half = P / 2.0
         for i in range(P.size):
             _moments_within(est[:, i : i + 1], [4 * half[i]], [[4 * half[i] * (1 - half[i])]])
-
-    def test_split_tagged_as_split_samples_tags_it(self, small_draws):
-        _, _, _, split = small_draws
-        assert split.n_effective == 2.0
-        for h in (split.est, split.sel):
-            assert h.model == "poissonized"
-            assert h.n_nominal == 2.0
 
     @pytest.mark.parametrize("estimator", ["plugin", "composite"])
     def test_n_above_k_is_the_multinomial_loop(self, estimator):
@@ -411,7 +412,14 @@ class TestSampler:
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, n, spec.k, ESTIMATORS.index(estimator), r))
             )
-            loop.append(run_estimator(estimator, draw(rng), phi, cfg, rng).estimate)
+            drawn = draw(rng)
+            if estimator == "composite":
+                # the halves tagged as split_samples tags them
+                est, sel = (Histogram(c, n / 2.0, "poissonized") for c in drawn)
+                data = SplitHistograms(est, sel, n_effective=n / 2.0)
+            else:
+                data = Histogram(drawn, n)
+            loop.append(run_estimator(estimator, data, phi, cfg, rng).estimate)
         assert report.estimates.tolist() == loop
 
 
