@@ -170,22 +170,17 @@ def read_counts(path: str, k_override: int | None = None) -> tuple[np.ndarray, s
     if skeleton == (b",\n" if histogram else b"\n") * rows:
         # fields hold only digits, so an empty one is the only way numpy
         # can return fewer values than fields
-        table = np.fromstring(body.replace(b",", b" "), dtype=np.int64, sep=" ")
+        table = np.fromstring(body.replace(b",", b" "), dtype=np.uint64, sep=" ")
     if table is None or table.size != width * rows:
         raise _first_bad_row(body, histogram, first)
     table = table.reshape(rows, width)
     symbols = table[:, 0]
 
     faults = []  # (row, message); the earliest row is reported
-    if table.max() == _INT64_MAX:
-        # numpy saturates at 2**63 - 1; such a field is that value only
-        # if its digits spell it
-        lines = body.split(b"\n")
-        for row, field in zip(*np.nonzero(table == _INT64_MAX)):
-            if lines[row].split(b",")[field].lstrip(b"0") != _INT64_MAX_DIGITS:
-                what = "symbol and count" if histogram else "symbols"
-                faults.append((row, f"{what} must be below 2**63"))
-                break
+    if table.max() > _INT64_MAX:
+        # numpy saturates a field at 2**64 - 1, so one of 2**63 or more reads above 2**63 - 1
+        what = "symbol and count" if histogram else "symbols"
+        faults.append((np.argmax(table > _INT64_MAX) // width, f"{what} must be below 2**63"))
     if histogram:
         # on 1e6 distinct symbols np.unique takes about 1 s, np.sort about 15 ms
         ordered = np.sort(symbols)
@@ -201,6 +196,8 @@ def read_counts(path: str, k_override: int | None = None) -> tuple[np.ndarray, s
     if faults:
         row, message = min(faults, key=lambda fault: fault[0])
         raise InputFormatError(message, line=first + int(row))
+    table = table.view(np.int64)  # every value is below 2**63
+    symbols = table[:, 0]
 
     top = int(symbols.max())
     k = top + 1 if k_override is None else k_override
@@ -224,7 +221,6 @@ def read_counts(path: str, k_override: int | None = None) -> tuple[np.ndarray, s
 
 # counts and symbols are stored as int64
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_INT64_MAX_DIGITS = str(_INT64_MAX).encode()
 
 
 def _first_bad_row(body: bytes, histogram: bool, first: int) -> InputFormatError:

@@ -70,9 +70,11 @@ class Histogram:
             # int64 holds exactly the floats below 2**63 in magnitude
             if not (np.abs(rounded) < 2.0**63).all():
                 raise ConfigurationError("histogram counts must be non-negative and below 2**63")
-            counts = rounded.astype(np.int64)
-        else:
-            counts = counts.astype(np.int64)
+            counts = rounded
+        elif counts.dtype.kind == "u" and (counts >= 2**63).any():
+            # the int64 cast would wrap such a count to a negative one
+            raise ConfigurationError("histogram counts must be non-negative and below 2**63")
+        counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise ConfigurationError("histogram counts must be non-negative")
         if self.model not in _MODELS:
@@ -281,13 +283,17 @@ def split_samples(h: Histogram, rng=None) -> SplitHistograms:
     tagged poissonized because their own totals are random, and carry that
     same rate scale as their n_nominal (6.5 for a 13-sample input).
     """
-    rng = np.random.default_rng(rng)
-    est_counts = rng.binomial(h.counts, 0.5)
-    sel_counts = h.counts - est_counts
+    est_counts, sel_counts = _thin(h.counts, np.random.default_rng(rng))
     half = h.n_nominal / 2.0
     est = Histogram(counts=est_counts, n_nominal=half, model="poissonized")
     sel = Histogram(counts=sel_counts, n_nominal=half, model="poissonized")
     return SplitHistograms(est=est, sel=sel, n_effective=half)
+
+
+def _thin(counts, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Thin counts by a fair coin per sample: (est, sel), est ~ Binomial(counts, 1/2)."""
+    est = rng.binomial(counts, 0.5)
+    return est, counts - est
 
 
 def _fingerprint_sum(counts, branch, values) -> float:
@@ -427,12 +433,13 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     """Threshold estimator: plugin where the selector count clears 2*C2*ln n,
     best-poly elsewhere.
 
-    data is a Histogram (split in place, so each half runs at half the
-    nominal size) or a pre-split SplitHistograms.  Each symbol's term is
-    the value of _composite_rule(phi, cfg, n_eff) at its two split counts.
-    At degree 0 (a "polynomial" that ignores the count), or when the
-    truncation point would reach 1, the construction is degenerate: before
-    any split is drawn, the plain plugin on the unsplit counts is returned
+    data is a Histogram (its counts thinned by _thin, drawing from rng or
+    else from cfg.rng_seed, so each half runs at half the nominal size) or
+    a pre-split SplitHistograms.  Each symbol's term is the value of
+    _composite_rule(phi, cfg, n_eff) at its two split counts.  At degree 0
+    (a "polynomial" that ignores the count), or when the truncation point
+    would reach 1, the construction is degenerate: before any split is
+    drawn, the plain plugin on the unsplit counts at 2 n_eff is returned
     with a warning.
     """
     if isinstance(data, SplitHistograms):
@@ -453,31 +460,30 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
             "(the admissible constants' guarantee is asymptotic); "
             "falling back to the plain plugin on the unsplit counts"
         )
-        if isinstance(data, Histogram):
-            value = plain_plugin_estimate(data, phi)
-        else:
-            value = _plain_plugin(data.est.counts + data.sel.counts, 2.0 * n_eff, phi)
+        counts = data.counts if isinstance(data, Histogram) else data.est.counts + data.sel.counts
+        value = _fingerprint_sum(counts, None, (_plugin_values(phi, 2.0 * n_eff),))
         return CompositeResult(value, {"plugin": data.k, "poly": 0}, (warning,), *construction)
 
     warnings: list[str] = []
-    split = data
     if isinstance(data, Histogram):
         if data.model == "multinomial":
             warnings.append(
                 "multinomial input split in place: halves are not independent "
                 "Poisson, risk guarantees are approximate"
             )
-        split = split_samples(data, rng=np.random.default_rng(cfg.rng_seed) if rng is None else rng)
+        est, sel = _thin(data.counts, np.random.default_rng(cfg.rng_seed if rng is None else rng))
+    else:
+        est, sel = data.est.counts, data.sel.counts
 
     if not rule.approx.converged:
         warnings.append(
             f"best-approximation search did not converge at degree {rule.degree}; using last iterate"
         )
 
-    branch = rule.branch(split.sel.counts)
-    value = _fingerprint_sum(split.est.counts, branch, rule.branch_values)
+    branch = rule.branch(sel)
+    value = _fingerprint_sum(est, branch, rule.branch_values)
     n_plugin = int(branch.sum())
-    branches = {"plugin": n_plugin, "poly": split.k - n_plugin}
+    branches = {"plugin": n_plugin, "poly": data.k - n_plugin}
     return CompositeResult(value, branches, tuple(warnings), *construction)
 
 
@@ -497,11 +503,7 @@ def _corrected_values(phi: Functional, cfg: EstimatorConfig, n):
 
 def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
     """Uncorrected plugin: sum of phi at the empirical frequencies."""
-    return _plain_plugin(h.counts, h.n_nominal, phi)
-
-
-def _plain_plugin(counts, n, phi: Functional) -> float:
-    return _fingerprint_sum(counts, None, (_plugin_values(phi, n),))
+    return _fingerprint_sum(h.counts, None, (_plugin_values(phi, h.n_nominal),))
 
 
 def _plugin_values(phi: Functional, n):
@@ -546,13 +548,14 @@ def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig
     the symbols have a frequency below its truncation point delta, where
     each is floored at phi(delta); the plain plugin warns of nothing.
     """
+    if name not in ESTIMATORS:
+        raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
     if name == "composite":
         return composite_estimate(h, phi, cfg, rng=rng)
+    _, values = _count_rule(name, phi, cfg, h.n_nominal)
+    value = _fingerprint_sum(h.counts, None, values)
     warnings = ()
-    if name == "plugin":
-        value = plain_plugin_estimate(h, phi)
-    elif name == "corrected":
-        value = corrected_plugin_estimate(h, phi, cfg)
+    if name == "corrected":
         delta = cfg.delta(h.n_nominal)
         floored = np.count_nonzero(h.counts / h.n_nominal < delta) / h.k
         if floored > 0.5:
@@ -561,6 +564,4 @@ def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig
                 f"truncation point delta = {delta:g} and are floored at phi(delta); "
                 "expect a large bias in this undersampled regime",
             )
-    else:
-        raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
     return CompositeResult(value, {"plugin": h.k, "poly": 0}, warnings, None, None, None, None)

@@ -5,18 +5,19 @@ fixed distribution and reports bias, variance, and MSE with jackknife
 standard errors.  rate_sweep does the same for every (n, estimator) cell
 of an n-grid with an alphabet-size rule and fits log-log slopes, next to
 a closed-form rate oracle keyed on the divergence-speed exponent.  Both
-run one simulation routine, which lays every (cell, rep) task out in
-order and maps them over at most one fork pool.  Each rep draws an exact
-sample of n from P, by a rule fixed by the cell: where n <= k, n symbols
-from a Walker alias table of P, counted; where n > k, numpy's multinomial
-histogram.  A rep draws bare count arrays.  A symbol's term depends only
-on its count (for the composite, its two split counts), so a rep's
-estimate is estimators._fingerprint_sum of its counts: how many symbols
-share each count, times the estimator's value at that count, read from
-tables the cell fills once.  The estimates are byte-identical to
-run_estimator's on the same draw.  Every random draw is
-seeded from (master_seed, n, k, estimator index, rep), so results are
-reproducible bit-for-bit regardless of worker count.
+run one simulation routine, which runs the reps of every cell in
+cell-then-rep order, serially or over at most one fork pool.  Each rep
+draws an exact sample of n from P, by a rule fixed by the cell: where
+n <= k, n symbols from a Walker alias table of P, counted; where n > k,
+numpy's multinomial histogram, which the composite splits with
+estimators._thin, as split_samples does.  A rep draws bare count
+arrays.  A symbol's term depends only on its count (for the composite,
+its two split counts), so a rep's estimate is estimators._fingerprint_sum
+of its counts: how many symbols share each count, times the estimator's
+value at that count, read from tables the cell fills once.  The
+estimates are byte-identical to run_estimator's on the same draw.  Every
+random draw is seeded from (master_seed, n, k, estimator index, rep), so
+results are reproducible bit-for-bit regardless of worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, MinifuncError
-from .estimators import ESTIMATORS, _count_rule, _fingerprint_sum, tuned_config
+from .estimators import ESTIMATORS, _count_rule, _fingerprint_sum, _thin, tuned_config
 from .functionals import Functional, additive_functional
 
 __all__ = [
@@ -178,14 +179,15 @@ def _jackknife_ses(estimates: np.ndarray, theta: float) -> tuple[float, float, f
     return (se(loo_bias), se(loo_var), se(loo_mse))
 
 
-# (rep function, rep index) for every rep of the simulation being
-# forked: the pool's workers inherit it, so no closure is pickled
-_TASKS: list = []
+# (rep functions, reps per cell) of the simulation being forked: the
+# pool's workers inherit it, so no closure is pickled
+_SIMULATION: tuple = ()
 
 
-def _run_task(i: int) -> float:
-    run_rep, r = _TASKS[i]
-    return run_rep(r)
+def _run_rep(i: int) -> float:
+    """Rep i of the flat cell-then-rep index of _SIMULATION."""
+    run_reps, reps = _SIMULATION
+    return run_reps[i // reps](i % reps)
 
 
 def _alias_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +218,8 @@ def _sampler(P: np.ndarray, table, n: int, split: bool):
     its (estimation, selector) counts, as run_estimator would see them.
 
     Where n > k, numpy's multinomial histogram (k conditional binomials),
-    with split thinned by Binomial(count, 1/2) per symbol: the calls
-    sample_histogram and split_samples make on the same rng.  Where
+    with split thinned by estimators._thin: the calls sample_histogram and
+    split_samples make on the same rng.  Where
     n <= k, n symbols from P's alias table (q, alias), counted in
     O(n + k); with split, the first Binomial(n, 1/2) symbols are the
     estimation half and the rest the selector half, which has the law of
@@ -229,10 +231,7 @@ def _sampler(P: np.ndarray, table, n: int, split: bool):
     def draw(rng):
         if n > k:
             counts = rng.multinomial(n, P)
-            if not split:
-                return counts
-            est = rng.binomial(counts, 0.5)
-            return est, counts - est
+            return _thin(counts, rng) if split else counts
         q, alias = table
         j = rng.integers(0, k, n)
         sym = np.where(rng.random(n) < q[j], j, alias[j])
@@ -307,12 +306,12 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, P, table):
 def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
     """One RiskReport per (spec, estimator, n) cell, in cell order.
 
-    The (cell, rep) tasks are laid out, and their estimates collected,
-    in cell-then-rep order; with jobs > 1 they are mapped, ceil(reps /
+    The reps run, and their estimates are collected, in cell-then-rep
+    order; with jobs > 1 the flat rep index is mapped, ceil(reps /
     workers) to a chunk, over one fork pool of min(jobs, cpu count,
-    tasks) workers.  Where fork is unavailable they run serially.
+    cells * reps) workers.  Where fork is unavailable they run serially.
     """
-    global _TASKS
+    global _SIMULATION
     for _, estimator, n in cells:
         if estimator not in ESTIMATORS:
             raise ConfigurationError(
@@ -337,25 +336,24 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
             tables[spec] = _alias_table(dists[spec])
     built = (_cell(s, est, n, phi, cfg, master_seed, dists[s], tables.get(s)) for s, est, n in cells)
     thetas, run_reps = zip(*built)
-    tasks = [(run_rep, r) for run_rep in run_reps for r in range(reps)]
 
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(jobs, os.cpu_count() or 1, len(cells) * reps)
     if workers > 1:
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers == 1:
-        results = [run_rep(r) for run_rep, r in tasks]
+        results = [run_rep(r) for run_rep in run_reps for r in range(reps)]
     else:
-        _TASKS = tasks
+        _SIMULATION = run_reps, reps
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 results = pool.map(
-                    _run_task, range(len(tasks)), chunksize=math.ceil(reps / workers)
+                    _run_rep, range(len(cells) * reps), chunksize=math.ceil(reps / workers)
                 )
         finally:
-            _TASKS = []
+            _SIMULATION = ()
 
     reports = []
     for c, ((_, estimator, _), theta) in enumerate(zip(cells, thetas)):

@@ -319,6 +319,7 @@ class TestReadCounts:
             ("2\n0\n\n\n", None, ("samples", [1, 0, 1])),
             ("symbol,count\n \n\n", None, (InputFormatError, 3)),
             ("symbol,count\n0,1\n4611686018427387904,5\n1,1\n", None, (InputFormatError, 3)),
+            ("symbol,count\n0,0009223372036854775807\n", None, ("histogram", [INT64_MAX])),
         ],
         ids=["crlf", "samples-crlf", "blank-lines", "samples-blank-lines", "spaces",
              "plus-sign", "unsorted", "header-case", "single-row", "single-sample",
@@ -328,7 +329,8 @@ class TestReadCounts:
              "samples-negative", "form-feed", "unit-separator", "circled-digit", "k-too-small",
              "header-only", "blank-file", "zero-padded-4300", "zero-padded-4300-blank-line",
              "plain-histogram", "plain-samples", "blank-space-line", "trailing-blank-lines",
-             "samples-trailing-blank-lines", "header-blank-lines", "symbol-too-large-mid-file"],
+             "samples-trailing-blank-lines", "header-blank-lines", "symbol-too-large-mid-file",
+             "zero-padded-2**63-1"],
     )
     def test_fast_path_agrees_with_line_parser(self, tmp_path, text, k, expect):
         path = tmp_path / "in.txt"
@@ -412,10 +414,12 @@ class TestReadCounts:
         assert (kind, counts.tolist()) == expect
 
     def test_numpy_fromstring_behaviour_the_reader_relies_on(self):
-        # read_counts parses rows with this call: a value past int64
-        # saturates rather than raising, and an empty field yields no value
-        parse = lambda data: np.fromstring(data, dtype=np.int64, sep=" ").tolist()
-        assert parse(b"9223372036854775808 1\n") == [INT64_MAX, 1]
+        # read_counts parses rows with this call: 2**63 parses exactly, a
+        # value past uint64 saturates at 2**64 - 1 rather than raising, and
+        # an empty field yields no value
+        parse = lambda data: np.fromstring(data, dtype=np.uint64, sep=" ").tolist()
+        assert parse(b"9223372036854775808 1\n") == [2**63, 1]
+        assert parse(b"18446744073709551616 1000000000000000000000000000000\n") == [2**64 - 1] * 2
         assert parse(b"0 \n1 2\n") == [0, 1, 2]
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -684,13 +688,22 @@ class TestEstimateCommand:
     @pytest.mark.parametrize(
         "text, line",
         [
-            ("symbol,count\n0,5\n1,9223372036854775808\n", 3),
-            ("symbol,count\n9223372036854775808,5\n", 2),
-            ("3\n9223372036854775808\n", 2),
+            (template.format(big), line)
+            for big in (2**63, 2**64 - 1, 2**64, 10**30)
+            for template, line in [
+                ("symbol,count\n0,5\n1,{}\n", 3),
+                ("symbol,count\n{},5\n", 2),
+                ("3\n{}\n", 2),
+            ]
         ],
-        ids=["histogram-count", "histogram-symbol", "sample-symbol"],
+        ids=[
+            f"{where}{suffix}"
+            for suffix in ("", "-2**64-1", "-2**64", "-10**30")
+            for where in ("histogram-count", "histogram-symbol", "sample-symbol")
+        ],
     )
     def test_int64_overflow_exit_2(self, tmp_path, capsys, text, line):
+        # numpy reads every field of 2**64 or more as 2**64 - 1
         path = tmp_path / "big.csv"
         path.write_text(text)
         code, _, err = run_cli(

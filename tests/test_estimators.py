@@ -242,6 +242,14 @@ class TestHistogram:
         h = Histogram(counts=np.array([top, 0.0]), n_nominal=1, model="poissonized")
         assert h.counts.tolist() == [2**63 - 1024, 0]
 
+    @pytest.mark.parametrize("big", [[2**63, 0], [2**64 - 1, 1]])
+    def test_rejects_uint64_counts_past_int64_before_casting(self, big):
+        # the int64 cast would wrap these to negative counts
+        with pytest.raises(ConfigurationError, match=r"non-negative and below 2\*\*63"):
+            Histogram(counts=np.array(big, dtype=np.uint64), n_nominal=1, model="poissonized")
+        h = Histogram(counts=np.array([2**63 - 1], dtype=np.uint64), n_nominal=1, model="poissonized")
+        assert h.counts.tolist() == [2**63 - 1]
+
     @pytest.mark.parametrize("counts", [np.array([], dtype=np.int64), np.ones((2, 2), dtype=np.int64)],
                              ids=["empty", "2d"])
     def test_rejects_empty_or_2d_counts(self, counts):
@@ -572,6 +580,24 @@ class TestComposite:
         assert any("multinomial" in w for w in res.warnings)
         assert res.n_effective == 500.0
         assert res.branch_counts["plugin"] + res.branch_counts["poly"] == 10
+
+    @pytest.mark.parametrize("model", ["multinomial", "poissonized"])
+    @pytest.mark.parametrize("make_cfg", [tuned_config, default_config], ids=["mixed", "degree0"])
+    def test_bare_split_is_split_samples(self, model, make_cfg):
+        # a Histogram's counts are thinned where they stand, with the same
+        # draws split_samples makes on the same Generator
+        zipf = 1.0 / np.arange(1.0, 501.0)
+        h = sample_histogram(zipf / zipf.sum(), 2000, model=model, rng=np.random.default_rng(11))
+        cfg = make_cfg(1.0)
+        bare = composite_estimate(h, SH, cfg, rng=np.random.default_rng(12))
+        split = composite_estimate(split_samples(h, rng=np.random.default_rng(12)), SH, cfg)
+        if make_cfg is tuned_config:
+            assert min(bare.branch_counts.values()) > 0
+        else:
+            assert bare.degree == 0 and bare.warnings == split.warnings
+        assert bare.estimate == split.estimate
+        fields = ("branch_counts", "n_effective", "degree", "threshold", "poly_interval")
+        assert [getattr(bare, f) for f in fields] == [getattr(split, f) for f in fields]
 
     def test_tiny_n_degrades_to_plain_plugin(self):
         cfg = tuned_config(1.0)

@@ -1,6 +1,8 @@
 """Package-level checks that no single module's tests cover."""
 
+import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import minifunc
-from minifunc.cli import build_parser
+from minifunc.cli import build_parser, main
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(minifunc.__path__))
 
@@ -45,3 +47,66 @@ def test_readme_examples_run(tmp_path):
     assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+# The benchmark under perfbench/ drives the package by name: its child
+# process reads module attributes, and its workloads are CLI argument
+# vectors.  These tests read perfbench/ and edit nothing there, so a change
+# that drops a name or an option the benchmark needs fails here.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _host_reads():
+    """(module, attribute) for every minifunc name perfbench/host.py reads:
+    each name it imports from minifunc, and each attribute it reads off an
+    imported minifunc module."""
+    tree = ast.parse((PERFBENCH / "host.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "minifunc":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    reads = {("minifunc", name) for name in imported}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in imported & set(MODULES):
+                reads.add((f"minifunc.{node.value.id}", node.attr))
+    return sorted(reads)
+
+
+def test_benchmark_host_names_resolve():
+    reads = _host_reads()
+    assert ("minifunc.estimators", "composite_estimate") in reads
+    assert ("minifunc.cli", "read_counts") in reads
+    missing = [(m, a) for m, a in reads if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
+
+
+@pytest.fixture(scope="module")
+def bench_argvs(tmp_path_factory):
+    """(cli-cold, estimate-bulk, risk-sweep) argument vectors at seed 7, the
+    estimate-bulk inputs written at census scale."""
+    workdir = str(tmp_path_factory.mktemp("perfbench"))
+    workloads, gen = _perfbench_module("workloads"), _perfbench_module("gen")
+    inputs = gen.generate(7, os.path.join(workdir, "inputs"), gen.CENSUS)
+    return (workloads.cli_cold(workdir, 7), workloads.estimate_bulk(inputs, 7),
+            workloads.risk_sweep(workdir, 7))
+
+
+def test_benchmark_argvs_parse(bench_argvs):
+    argvs = [argv for group in bench_argvs for argv in group]
+    assert len(argvs) == 12
+    for argv in argvs:
+        build_parser().parse_args(argv)
+
+
+def test_benchmark_cli_calls_exit_0(bench_argvs, capsys):
+    cold, bulk, _ = bench_argvs
+    for argv in cold + bulk:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
