@@ -30,6 +30,7 @@ from .errors import (
     ConfigurationError,
     InputFormatError,
     MinifuncError,
+    NumericalError,
 )
 from .estimators import (
     ESTIMATORS,
@@ -307,6 +308,9 @@ def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
 def _cmd_approx(args, phi: Functional) -> tuple[dict, dict]:
     interval = _parse_interval(args.interval)
     result = _check_converged(remez_best_approx(phi.eval, args.L, interval), args.L)
+    if not np.isfinite(result.poly.coeffs).all():  # they grow like (2 / interval width)**m
+        raise NumericalError(f"monomial coefficients of the degree-{args.L} approximation "
+                             f"on [{interval[0]!r}, {interval[1]!r}] overflow the float range")
     return {"L": args.L, "interval": list(interval)}, {
         "sup_error": result.sup_error,
         "coefficients": [float(c) for c in result.poly.coeffs],

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .functionals import Functional, as_prob_array, bias_corrected_fn, range_on_interval
 from .polyapprox import ApproxResult, remez_best_approx
 
@@ -83,10 +83,14 @@ class Histogram:
             )
         if not 0 <= self.n_nominal < math.inf:
             raise ConfigurationError(f"n_nominal must be non-negative and finite, got {self.n_nominal!r}")
-        if self.model == "multinomial" and int(counts.sum()) != self.n_nominal:
-            raise ConfigurationError(
-                f"multinomial counts sum to {int(counts.sum())}, expected {self.n_nominal}"
-            )
+        if self.model == "multinomial":
+            # summed in uint64, which cannot wrap while max * k < 2**64; past
+            # that, the counts' high and low 32-bit halves are summed apart
+            u = counts.view(np.uint64)
+            total = int(u.sum()) if int(u.max()) * u.size < 2**64 else (
+                (int(np.sum(u >> 32)) << 32) + int(np.sum(u & 0xFFFFFFFF)))
+            if total != self.n_nominal:
+                raise ConfigurationError(f"multinomial counts sum to {total}, expected {self.n_nominal}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -394,23 +398,28 @@ class _CompositeRule:
         return bias_corrected_fn(self.phi, self.correction_order, self.delta, self.n_eff, counts / self.n_eff)
 
     def poly_values(self, counts) -> np.ndarray:
-        """Unbiased transform sum_m a_m (N)_m / n_eff^m at each count N, then
-        clamped.  Term m carries prod_{j<m} (N-j)/n_eff, so nothing overflows
-        even for large N and terms vanish exactly once j reaches N; each
-        count's terms are summed by math.fsum."""
-        a = self.approx.poly.coeffs
-        lo, hi = float(min(self.clamp)), float(max(self.clamp))
-        out = []
-        for N in counts.tolist():
-            terms = [float(a[0])]
-            prod = 1.0
-            for m in range(1, len(a)):
-                prod *= (N - (m - 1)) / self.n_eff
-                if prod == 0.0:
-                    break
-                terms.append(float(a[m]) * prod)
-            out.append(min(max(math.fsum(terms), lo), hi))
-        return np.array(out, dtype=float)
+        """Unbiased estimate U of the best polynomial sum_j c_j T_j(2p/h - 1) at
+        each count N, clamped; c = approx.cheb_coeffs, interval [0, h].  As
+        U[(p/h)^m](N) = (N)_m / lam^m, lam = n_eff h: U[T_0] = 1, U[T_1](N) =
+        2N/lam - 1 and U[T_{j+1}](N) = 4 (N/lam) U[T_j](N - 1) - 2 U[T_j](N) -
+        U[T_{j-1}](N), run over N, N - 1, .., N - L for all counts at once.
+        Each count's U[T_j] is carried over r^j, r the power of two above
+        3 + 4 max(N, L) / lam, which is exact and keeps it within [-1, 1]; a
+        value past 2**1000 is held there before the clamp."""
+        c = self.approx.cheb_coeffs
+        L = c.size - 1
+        lam = self.n_eff * self.interval[1]
+        e = np.frexp(3.0 + 4.0 * np.maximum(counts, L) / lam)[1][:, None]
+        r_inv = np.ldexp(1.0, -e)
+        # x[:, i] = 4 (N - i) / (lam r); u[:, i] = U[T_j](N - i) / r^j
+        x = r_inv * (4.0 / lam) * (counts[:, None] - np.arange(L + 1.0))
+        prev, u = np.ones_like(x), 0.5 * x - r_inv
+        # total = sum_{i <= j} c_i U[T_i](N) / r^j
+        total = c[0]
+        for j in range(1, L + 1):
+            total = r_inv[:, 0] * total + c[j] * u[:, 0]
+            prev, u = u[:, :-1], x[:, :-j] * u[:, 1:] - 2.0 * r_inv * u[:, :-1] - r_inv * r_inv * prev[:, :-1]
+        return np.clip(np.ldexp(total, np.minimum(L * e[:, 0], 1000 - np.frexp(total)[1])), *self.clamp)
 
 
 def _composite_rule(phi: Functional, cfg: EstimatorConfig, n_eff: float) -> _CompositeRule:
@@ -482,6 +491,8 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
 
     branch = rule.branch(sel)
     value = _fingerprint_sum(est, branch, rule.branch_values)
+    if not math.isfinite(value):
+        raise NumericalError(f"composite estimate is not finite ({value!r}) at degree {rule.degree}")
     n_plugin = int(branch.sum())
     branches = {"plugin": n_plugin, "poly": data.k - n_plugin}
     return CompositeResult(value, branches, tuple(warnings), *construction)

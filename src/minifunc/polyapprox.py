@@ -13,19 +13,18 @@ computed here with a Remez exchange:
   3. rebuild the reference from the residual's local extrema (an
      8*(L+2)-point sign-run scan refined by golden-section search,
      leftmost point kept on ties),
-  4. stop when the levelling ratio (max residual)/(min reference
-     residual) - 1 falls below 1e-10, or below the round-off floor
-     (L+2) * eps * max|f| / E_L when that is larger: residuals are
-     evaluated to about (L+2) * eps * max|f|, so at high degree and small
-     E_L no reference levels them closer.  A stop the floor allowed is
-     recorded as at_roundoff_floor.  After 100 exchanges the solve ends
-     unconverged.
+  4. stop when (max residual) - (min reference residual) falls to 1e-10
+     of the min reference residual, or to the round-off floor
+     (L+2) * eps * max|f|, max|f| on the interval, when that is larger:
+     residuals are evaluated to about that much, so no reference levels
+     them closer.  Any stop the floor allowed is recorded as
+     at_roundoff_floor.  After 100 exchanges the solve ends unconverged.
 
 Equioscillation at L+2 alternating extrema certifies optimality.  The
-returned polynomial is converted to the monomial basis of the original
-variable at the very end: downstream estimators need raw coefficients,
-and a single conversion confines the monomial basis's poor conditioning
-to one step.
+result keeps the Chebyshev coefficients of the solve, which the composite
+estimator evaluates, and their one conversion to the monomial basis of
+the original variable, which approx prints; those coefficients grow like
+(2 / interval width)**m.
 """
 
 from __future__ import annotations
@@ -69,17 +68,19 @@ class Polynomial:
 class ApproxResult:
     """Outcome of a best-approximation solve.
 
-    sup_error approximates E_L(f, interval); alternation_points are the
-    L+2 reference points of the final exchange (residual alternates in
-    sign there whenever sup_error is meaningfully above round-off).
-    alternation_residuals holds f - poly at those points, computed in the
-    well-conditioned Chebyshev form before the monomial conversion; use
-    them rather than re-evaluating poly when the degree is large.
+    cheb_coeffs holds the best polynomial as sum_j cheb_coeffs[j] T_j(t),
+    t = (2x - lo - hi) / (hi - lo); poly is it in powers of x.  sup_error
+    approximates E_L(f, interval); alternation_points are the L+2
+    reference points of the final exchange (residual alternates in sign
+    there whenever sup_error is meaningfully above round-off).
+    alternation_residuals holds f - poly there, computed in the Chebyshev
+    form; use them rather than re-evaluating poly when the degree is large.
     at_roundoff_floor is True when the levelling met the round-off floor
     but not the 1e-10 tolerance (module docstring, step 4).
     """
 
     poly: Polynomial
+    cheb_coeffs: np.ndarray
     sup_error: float
     alternation_points: np.ndarray
     iterations: int
@@ -88,12 +89,10 @@ class ApproxResult:
     at_roundoff_floor: bool
 
     def __post_init__(self):
-        pts = np.asarray(self.alternation_points, dtype=float).copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "alternation_points", pts)
-        res = np.asarray(self.alternation_residuals, dtype=float).copy()
-        res.flags.writeable = False
-        object.__setattr__(self, "alternation_residuals", res)
+        for name in ("cheb_coeffs", "alternation_points", "alternation_residuals"):
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def remez_best_approx(f, L: int, interval) -> ApproxResult:
@@ -136,11 +135,7 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
     theta = 0.5 * np.pi * (1.0 - np.cos(np.linspace(0.0, np.pi, 8 * m_ref)))
     scan_base = -np.cos(theta)
 
-    coef = np.zeros(L + 1)
-    converged = False
-    at_floor = False
-    iterations = 0
-    sup_error = math.inf
+    converged = at_floor = False
 
     for iterations in range(1, _MAX_EXCHANGES + 1):
         A[:, : L + 1] = _cheb.chebvander(ref, L)
@@ -167,7 +162,6 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
             raise NumericalError("f is not finite on the approximation interval")
         r = fvals - _cheb_eval(grid, coef)
         fmax = float(np.max(np.abs(fvals)))
-        scale = max(1.0, fmax)
         scan_max = float(np.max(np.abs(r)))
 
         cand_t, cand_r = _extremum_candidates(grid, r, resid)
@@ -180,35 +174,25 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
             merged_r = np.concatenate([cand_r, resid(ref)])
             order = np.argsort(merged_t, kind="stable")
             new_ref = _select_reference(merged_t[order], merged_r[order], m_ref)
-        if new_ref is None:
-            # residual flat at round-off level: nothing left to exchange
-            sup_error = scan_max
-            converged = sup_error <= 1e-13 * scale
-            break
-        ref = new_ref
+        # None only where the residual is flat at round-off, which the floor stops
+        ref = ref if new_ref is None else new_ref
         rr = resid(ref)
         maxres = max(scan_max, float(np.max(np.abs(rr))))
         minres = float(np.min(np.abs(rr)))
-        sup_error = maxres
-        if maxres <= 1e-13 * scale:
+        spread = maxres - minres
+        if spread <= max(_REL_TOL * minres, m_ref * sys.float_info.epsilon * fmax):
             converged = True
-            break
-        levelling = maxres / minres - 1.0 if minres > 0.0 else math.inf
-        if levelling < max(_REL_TOL, m_ref * sys.float_info.epsilon * fmax / maxres):
-            converged = True
-            at_floor = levelling >= _REL_TOL
+            at_floor = spread > _REL_TOL * minres
             break
 
-    poly = _to_monomial(coef, lo, hi, L)
-    points = mid + half * ref
-    final_resid = ft(ref) - _cheb_eval(ref, coef)
     return ApproxResult(
-        poly=poly,
-        sup_error=float(sup_error),
-        alternation_points=points,
+        poly=_to_monomial(coef, lo, hi, L),
+        cheb_coeffs=coef,
+        sup_error=maxres,
+        alternation_points=mid + half * ref,
         iterations=iterations,
         converged=converged,
-        alternation_residuals=final_resid,
+        alternation_residuals=rr,
         at_roundoff_floor=at_floor,
     )
 

@@ -580,6 +580,31 @@ class TestEstimateCommand:
         assert doc_h["config"]["input_kind"] == "histogram"
         assert doc_s["config"]["input_kind"] == "samples"
 
+    @pytest.mark.parametrize("phi", ["power:0.5", "shannon"])
+    def test_huge_total_gives_a_finite_composite(self, phi, tmp_path, capsys):
+        # n_effective = 1e16 puts the degree at 33; the counts of symbol 0
+        # are far past any count the poly branch's recurrence could carry
+        path = tmp_path / "huge.csv"
+        path.write_text("symbol,count\n0,20000000000000000\n1,60\n2,62\n3,58\n")
+        code, out, err = run_cli(["estimate", "--phi", phi, "--input", str(path), "--preset", "tuned"], capsys)
+        assert code == 0, err
+        doc = strict_loads(out)
+        check_schema(doc, "estimate")
+        assert doc["degree"] == 33 and doc["branch_counts"]["poly"] > 0
+        assert math.isfinite(doc["estimate"])
+
+    def test_nonfinite_composite_exit_4(self, uniform_file, capsys, monkeypatch):
+        # every symbol of uniform_file takes the plugin branch
+        monkeypatch.setattr("minifunc.estimators._CompositeRule.plugin_values",
+                            lambda self, counts: np.full(counts.size, math.nan))
+        code, out, err = run_cli(
+            ["estimate", "--phi", "shannon", "--input", uniform_file, "--preset", "tuned",
+             "--estimator", "composite"], capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: composite estimate is not finite (nan)")
+        assert err.count("\n") == 1
+
     def test_infinite_estimate_prints_null(self, tmp_path, capsys):
         # p^-0.5 is infinite at the unseen symbol 1, so the plugin sum is too
         path = tmp_path / "gap.csv"
@@ -766,6 +791,16 @@ class TestApproxCommand:
         check_schema(doc, "approx")
         assert doc["converged"] is True
         assert doc["at_roundoff_floor"] is floor
+
+    def test_overflowing_coefficients_exit_4(self, capsys):
+        # the monomial coefficients grow like (2 / 1e-13)**m, past the float
+        # range from degree 15; the schema allows no null coefficient
+        code, out, err = run_cli(
+            ["approx", "--phi", "shannon", "--L", "30", "--interval", "0,1e-13"], capsys
+        )
+        assert (code, out) == (4, "")
+        assert err == ("error: monomial coefficients of the degree-30 approximation on "
+                       "[0.0, 1e-13] overflow the float range\n")
 
     @pytest.mark.parametrize("L", [str(2**63), str(10**400)])
     def test_degree_too_large_exit_3(self, capsys, L):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from minifunc import estimators
-from minifunc.errors import ConfigurationError
+from minifunc.errors import ConfigurationError, NumericalError
 from minifunc.estimators import (
     ESTIMATORS,
     CompositeResult,
@@ -85,7 +85,7 @@ MIXED_ESTIMATE = 2.0510073821790726
 
 # composite on _repeated_split() for Power(0.3) with C1=0.9, C2=0.5:
 # degree 4, 1167 plugin and 833 poly symbols
-POLY_BRANCH_ESTIMATE = 790.6945120780234
+POLY_BRANCH_ESTIMATE = 790.6945120780232
 
 
 def _pinned_delta_config(n: float, delta: float) -> EstimatorConfig:
@@ -260,6 +260,12 @@ class TestHistogram:
         with pytest.raises(ConfigurationError, match="sum"):
             Histogram(counts=np.array([3, 5, 2]), n_nominal=11)
 
+    def test_multinomial_sum_is_exact_past_int64(self):
+        # an int64 or uint64 sum of these counts wraps to 0
+        with pytest.raises(ConfigurationError, match="sum to 18446744073709551616, expected 0"):
+            Histogram(counts=np.array([2**63 - 1, 2**63 - 1, 2]), n_nominal=0)
+        assert Histogram(counts=np.array([2**63 - 1, 1]), n_nominal=2**63).k == 2
+
     def test_poissonized_sum_unconstrained(self):
         h = Histogram(counts=np.array([3, 5, 2]), n_nominal=11, model="poissonized")
         assert h.n_nominal == 11
@@ -388,18 +394,22 @@ def _poly_symbol(N, n, approx, clamp):
     return min(max(total, min(clamp)), max(clamp))
 
 
-def _poly_rule(approx, clamp, n):
-    # a rule built around a given approximation and clamp, for poly_values
+def _poly_rule(approx, interval, clamp, n):
+    # a rule built around a given approximation, solved on interval, and
+    # clamp, for poly_values
     return estimators._CompositeRule(
         phi=SH, correction_order=2, n_eff=n, degree=len(approx.poly.coeffs) - 1,
-        threshold=math.inf, delta=0.0, interval=(0.0, 1.0), approx=approx, clamp=clamp,
+        threshold=math.inf, delta=0.0, interval=interval, approx=approx, clamp=clamp,
     )
+
+
+UNIT = (0.0, 1.0)
 
 
 class TestBestPolySymbol:
     def test_constant_approx_passes_through(self):
         approx = remez_best_approx(lambda x: 0.3, 0, (0.0, 1.0))
-        got = _poly_rule(approx, (0.0, 1.0), 50.0).poly_values(np.array([0, 1, 17, 10**6]))
+        got = _poly_rule(approx, UNIT, (0.0, 1.0), 50.0).poly_values(np.array([0, 1, 17, 10**6]))
         assert got == pytest.approx([0.3] * 4, rel=1e-12)
 
     def test_zero_count_clamps_intercept(self):
@@ -408,8 +418,8 @@ class TestBestPolySymbol:
         approx = remez_best_approx(lambda x: x * x, 1, (0.0, 1.0))
         assert approx.poly.coeffs[0] == pytest.approx(-0.125, abs=1e-9)
         zero = np.array([0])
-        assert _poly_rule(approx, (0.0, 1.0), 50.0).poly_values(zero).tolist() == [0.0]
-        wide = _poly_rule(approx, (-10.0, 10.0), 50.0).poly_values(zero)[0]
+        assert _poly_rule(approx, UNIT, (0.0, 1.0), 50.0).poly_values(zero).tolist() == [0.0]
+        wide = _poly_rule(approx, UNIT, (-10.0, 10.0), 50.0).poly_values(zero)[0]
         assert wide == pytest.approx(approx.poly.coeffs[0], rel=1e-12)
 
     def test_unbiased_for_poisson_counts(self):
@@ -431,7 +441,7 @@ class TestBestPolySymbol:
         # the rule's poly branch agrees with the raw transform when the
         # clamp is slack
         counts = [0, 1, 5, 17]
-        api = _poly_rule(approx, (-1e9, 1e9), n).poly_values(np.array(counts))
+        api = _poly_rule(approx, (0.0, 0.2), (-1e9, 1e9), n).poly_values(np.array(counts))
         inline = [_poly_symbol(N, n, approx, (-1e9, 1e9)) for N in counts]
         assert api == pytest.approx(inline, rel=1e-12)
 
@@ -440,22 +450,27 @@ class TestBestPolySymbol:
         # [lo, hi]; the raw values of a linear fit to x^2 span -0.125..2.9
         approx = remez_best_approx(lambda x: x * x, 1, (0.0, 1.0))
         counts = np.arange(0, 150, 4)
-        raw = _poly_rule(approx, (-1e9, 1e9), 50.0).poly_values(counts)
+        raw = _poly_rule(approx, UNIT, (-1e9, 1e9), 50.0).poly_values(counts)
         lo, hi = 0.1, 0.7
-        clamped = _poly_rule(approx, (lo, hi), 50.0).poly_values(counts)
+        clamped = _poly_rule(approx, UNIT, (lo, hi), 50.0).poly_values(counts)
         assert raw.min() < lo and raw.max() > hi
         for v in np.linspace(lo, hi, 13):
             assert (np.abs(clamped - v) <= np.abs(raw - v) + 1e-15).all()
 
     @pytest.mark.parametrize("phi", [SH, power_functional(0.5)], ids=["shannon", "power0.5"])
     def test_poly_values_equal_the_scalar_reference(self, phi):
+        # the Chebyshev recurrence against the monomial sum, to 1e-9 E_L below
+        # the threshold; far above it both take the same end of the clamp
         cfg = tuned_config(phi.alpha)
         rule = estimators._composite_rule(phi, cfg, 5000.0)
-        L = rule.degree
-        assert L > 1
-        counts = [0, 1, L - 1, L, L + 1, 17, 10**6, 10**12, 2**53 + 1]
+        assert rule.degree > 1
+        counts = list(range(int(rule.threshold) + 2))
         want = [_poly_symbol(N, 5000.0, rule.approx, rule.clamp) for N in counts]
-        assert rule.poly_values(np.array(counts, dtype=np.int64)).tolist() == want
+        got = rule.poly_values(np.array(counts, dtype=np.int64))
+        assert np.abs(got - want).max() <= 1e-9 * rule.approx.sup_error
+        clamped = [10**6, 10**12, 2**53 + 1]
+        want = [_poly_symbol(N, 5000.0, rule.approx, rule.clamp) for N in clamped]
+        assert rule.poly_values(np.array(clamped, dtype=np.int64)).tolist() == want
 
 
 def _plugin_symbol(N, n, phi, cfg):
@@ -533,6 +548,39 @@ class TestComposite:
         res = composite_estimate(_repeated_split(), power_functional(0.3), EstimatorConfig(0.9, 0.5))
         assert (res.degree, res.branch_counts) == (4, {"plugin": 1167, "poly": 833})
         assert res.estimate == POLY_BRANCH_ESTIMATE
+
+    @pytest.mark.parametrize("phi", [SH, power_functional(0.5), power_functional(1.2)],
+                             ids=["shannon", "power0.5", "power1.2"])
+    @pytest.mark.parametrize("n_eff", [1e9, 1e12, 1e15])
+    def test_tuned_plans_equioscillate(self, phi, n_eff):
+        # E_L on these intervals is far below 1e-13, down to 1.7e-21
+        approx = estimators._composite_rule(phi, tuned_config(phi.alpha), n_eff).approx
+        assert approx.converged
+        mags = np.abs(approx.alternation_residuals)
+        assert mags.max() / mags.min() <= 1.0 + 1e-6
+
+    def test_tuned_plan_error_is_the_best(self):
+        # E_18(p^1.2) on [0, 2 ln(1e9) / 1e9], from the scale identity
+        rule = estimators._composite_rule(power_functional(1.2), tuned_config(1.2), 1e9)
+        assert rule.degree == 18
+        assert rule.approx.sup_error == pytest.approx(5.42e-14, rel=1e-2, abs=0.0)
+
+    def test_huge_poly_counts_give_a_finite_estimate(self):
+        # estimation counts past any the unscaled recurrence can carry at
+        # degree 31, without a numpy overflow warning (the suite makes them
+        # errors); both symbols take the poly branch and land in the clamp
+        est = Histogram(counts=np.array([10**12, 2**63 - 1]), n_nominal=1e15, model="poissonized")
+        sel = Histogram(counts=np.array([0, 0]), n_nominal=1e15, model="poissonized")
+        res = composite_estimate(SplitHistograms(est=est, sel=sel, n_effective=1e15), SH, tuned_config(1.0))
+        assert res.branch_counts == {"plugin": 0, "poly": 2}
+        lo, hi = estimators._composite_rule(SH, tuned_config(1.0), 1e15).clamp
+        assert 2.0 * lo <= res.estimate <= 2.0 * hi
+
+    def test_nonfinite_estimate_raises(self, monkeypatch):
+        monkeypatch.setattr(estimators._CompositeRule, "plugin_values",
+                            lambda self, counts: np.full(counts.size, math.inf))
+        with pytest.raises(NumericalError, match="not finite"):
+            composite_estimate(_repeated_split(), power_functional(0.3), EstimatorConfig(0.9, 0.5))
 
     @pytest.mark.parametrize(
         "make_split, cfg",

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import re
@@ -110,3 +111,16 @@ def test_benchmark_cli_calls_exit_0(bench_argvs, capsys):
     cold, bulk, _ = bench_argvs
     for argv in cold + bulk:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_benchmark_cli_cold_outputs_pass_its_checks(bench_argvs, capsys, monkeypatch):
+    # the checks perfbench/run.py applies to each cli-cold output: the
+    # alternation certificate of both approx calls, and the check-speed,
+    # le-cam, composite-bound and priors checks; run.py imports its
+    # sibling modules by bare name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    cold = _perfbench_module("run").CliCold(workdir=None, seed=7)
+    for argv in bench_argvs[0]:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        op = {"argv": argv, "doc": json.loads(capsys.readouterr().out)}
+        assert cold.check_op(op) == [], argv

@@ -90,3 +90,37 @@ class TestRemez:
         mags = np.abs(r.alternation_residuals)
         floor = (L + 2) * np.finfo(float).eps / r.sup_error
         assert 1e-10 <= r.sup_error / mags.min() - 1.0 < floor
+
+
+class TestScaleIdentity:
+    # phi(h s) = h^a phi(s) for x^a, and h phi(s) - (h ln h) s for -x ln x,
+    # whose linear term lies in the polynomial space: E_L on [0, h] is h^a,
+    # or h, times E_L on [0, 1], however small E_L on [0, h] is
+    @pytest.mark.parametrize("L", [18, 24])
+    @pytest.mark.parametrize("phi, a", [(SH, 1.0), (power_functional(0.5), 0.5),
+                                        (power_functional(1.2), 1.2)],
+                             ids=["shannon", "power0.5", "power1.2"])
+    def test_error_scales_with_the_interval(self, phi, a, L):
+        unit = remez_best_approx(phi.eval, L, (0.0, 1.0)).sup_error
+        for lam in (1e-12, 1e-9, 1e-6):
+            r = remez_best_approx(phi.eval, L, (0.0, lam))
+            assert r.converged
+            assert r.sup_error == pytest.approx(lam**a * unit, rel=1e-6, abs=0.0)
+
+    def test_tiny_interval_levels(self):
+        # E_30 here is 2.5e-17, below any absolute threshold: the stop is
+        # relative to max|f| on the interval, so the reference still levels
+        r = remez_best_approx(SH.eval, 30, (0.0, 1e-13))
+        assert r.converged and r.iterations > 1
+        mags = np.abs(r.alternation_residuals)
+        assert mags.max() / mags.min() <= 1.0 + 1e-6
+        unit = remez_best_approx(SH.eval, 30, (0.0, 1.0)).sup_error
+        assert r.sup_error == pytest.approx(1e-13 * unit, rel=1e-6, abs=0.0)
+
+    def test_chebyshev_coefficients_match_the_monomial_form(self):
+        r = remez_best_approx(SH.eval, 8, (0.0, 0.5))
+        x = np.linspace(0.0, 0.5, 101)
+        cheb = Chebyshev(r.cheb_coeffs, domain=[0.0, 0.5])(x)
+        mono = np.polynomial.Polynomial(r.poly.coeffs)(x)
+        assert np.abs(cheb - mono).max() <= 1e-12
+        assert not r.cheb_coeffs.flags.writeable
