@@ -17,8 +17,10 @@ computed here with a Remez exchange:
      of the min reference residual, or to the round-off floor
      (L+2) * eps * max|f|, max|f| on the interval, when that is larger:
      residuals are evaluated to about that much, so no reference levels
-     them closer.  Any stop the floor allowed is recorded as
-     at_roundoff_floor.  After 100 exchanges the solve ends unconverged.
+     them closer.  A residual with no L+2 alternating extrema, which
+     only round-off gives, ends the solve too, converged if it passes
+     that test.  Any stop at round-off is recorded as at_roundoff_floor.
+     After 100 exchanges the solve ends unconverged.
 
 Equioscillation at L+2 alternating extrema certifies optimality.  The
 result keeps the Chebyshev coefficients of the solve, which the composite
@@ -75,8 +77,9 @@ class ApproxResult:
     there whenever sup_error is meaningfully above round-off).
     alternation_residuals holds f - poly there, computed in the Chebyshev
     form; use them rather than re-evaluating poly when the degree is large.
-    at_roundoff_floor is True when the levelling met the round-off floor
-    but not the 1e-10 tolerance (module docstring, step 4).
+    at_roundoff_floor is True when the solve stopped at round-off: the
+    levelling met the round-off floor but not the 1e-10 tolerance, or the
+    residual had no alternating reference left (module docstring, step 4).
     """
 
     poly: Polynomial
@@ -135,7 +138,7 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
     theta = 0.5 * np.pi * (1.0 - np.cos(np.linspace(0.0, np.pi, 8 * m_ref)))
     scan_base = -np.cos(theta)
 
-    converged = at_floor = False
+    at_floor = False
 
     for iterations in range(1, _MAX_EXCHANGES + 1):
         A[:, : L + 1] = _cheb.chebvander(ref, L)
@@ -174,15 +177,17 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
             merged_r = np.concatenate([cand_r, resid(ref)])
             order = np.argsort(merged_t, kind="stable")
             new_ref = _select_reference(merged_t[order], merged_r[order], m_ref)
-        # None only where the residual is flat at round-off, which the floor stops
-        ref = ref if new_ref is None else new_ref
+        # None only where the residual is flat at round-off: no exchange is
+        # left, so the solve stops on the current reference
+        stuck = new_ref is None
+        ref = ref if stuck else new_ref
         rr = resid(ref)
         maxres = max(scan_max, float(np.max(np.abs(rr))))
         minres = float(np.min(np.abs(rr)))
         spread = maxres - minres
-        if spread <= max(_REL_TOL * minres, m_ref * sys.float_info.epsilon * fmax):
-            converged = True
-            at_floor = spread > _REL_TOL * minres
+        converged = spread <= max(_REL_TOL * minres, m_ref * sys.float_info.epsilon * fmax)
+        if converged or stuck:
+            at_floor = stuck or spread > _REL_TOL * minres
             break
 
     return ApproxResult(

@@ -30,6 +30,14 @@ class TestRemez:
         for L in (3, 5):
             r = remez_best_approx(f, L, (0.0, 1.0))
             assert r.sup_error <= 1e-12
+            assert r.converged and r.iterations < 10
+
+    def test_flat_residual_stops_at_once(self):
+        # an exact fit leaves no alternating reference to exchange to
+        for c in (0.0, 3.0):
+            r = remez_best_approx(lambda x, c=c: np.full(np.shape(x), c), 4, (0.0, 1.0))
+            assert r.converged and r.at_roundoff_floor and r.iterations == 1
+            assert r.sup_error <= 1e-14
 
     def test_equioscillation_certificate(self):
         for phi, L in ((SH, 6), (power_functional(0.5), 9)):
