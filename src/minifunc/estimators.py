@@ -84,8 +84,7 @@ class Histogram:
         if not 0 <= self.n_nominal < math.inf:
             raise ConfigurationError(f"n_nominal must be non-negative and finite, got {self.n_nominal!r}")
         if self.model == "multinomial":
-            # an int64 sum wraps past 2**63 - 1; the counts' high and low
-            # 32-bit halves, summed apart, cannot wrap below 2**32 counts
+            # int64 sums wrap; 32-bit halves summed apart do not below 2**32 counts
             u = counts.view(np.uint64)
             total = (int(np.sum(u >> 32)) << 32) + int(np.sum(u & 0xFFFFFFFF))
             if total != self.n_nominal:
@@ -404,9 +403,8 @@ class _CompositeRule:
         U[T_{j-1}](N), run over N, N - 1, .., N - L for all counts at once.
         Each count's U[T_j] is carried over r^j, r the power of two above
         3 + 4 max(N, L) / lam, which is exact and keeps it within [-1, 1]; a
-        value past 2**1000 is held there before the clamp.  The rows take
-        O(len(counts) * L) floats and O(L**2) work per count, so callers pass
-        distinct counts: 1e6 of them at L = 12 take about 0.5 GB."""
+        value past 2**1000 is held there before the clamp.  Rows hold O(L)
+        floats per count: 1e6 distinct counts at L = 12 take about 0.5 GB."""
         c = self.approx.cheb_coeffs
         L = c.size - 1
         lam = self.n_eff * self.interval[1]

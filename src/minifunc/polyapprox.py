@@ -15,11 +15,10 @@ computed here with a Remez exchange:
      leftmost point kept on ties),
   4. stop when (max residual) - (min reference residual) falls to 1e-10
      of the min reference residual, or to the round-off floor
-     (L+2) * eps * max|f|, max|f| on the interval, when that is larger:
-     residuals are evaluated to about that much, so no reference levels
-     them closer.  A residual with no L+2 alternating extrema, which
-     only round-off gives, ends the solve too, converged if it passes
-     that test.  Any stop at round-off is recorded as at_roundoff_floor.
+     (L+2) * eps * max|f| (max|f| on the interval) that residuals are
+     evaluated to, when larger.  A residual with no L+2 alternating
+     extrema, which only round-off gives, stops the solve too, converged
+     if that test passes; at_roundoff_floor records a stop at round-off.
      After 100 exchanges the solve ends unconverged.
 
 Equioscillation at L+2 alternating extrema certifies optimality.  The
@@ -77,9 +76,8 @@ class ApproxResult:
     there whenever sup_error is meaningfully above round-off).
     alternation_residuals holds f - poly there, computed in the Chebyshev
     form; use them rather than re-evaluating poly when the degree is large.
-    at_roundoff_floor is True when the solve stopped at round-off: the
-    levelling met the round-off floor but not the 1e-10 tolerance, or the
-    residual had no alternating reference left (module docstring, step 4).
+    at_roundoff_floor is True when the solve stopped at round-off, not at
+    the 1e-10 tolerance (module docstring, step 4).
     """
 
     poly: Polynomial
@@ -138,8 +136,6 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
     theta = 0.5 * np.pi * (1.0 - np.cos(np.linspace(0.0, np.pi, 8 * m_ref)))
     scan_base = -np.cos(theta)
 
-    at_floor = False
-
     for iterations in range(1, _MAX_EXCHANGES + 1):
         A[:, : L + 1] = _cheb.chebvander(ref, L)
         A[:, L + 1] = signs
@@ -177,8 +173,7 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
             merged_r = np.concatenate([cand_r, resid(ref)])
             order = np.argsort(merged_t, kind="stable")
             new_ref = _select_reference(merged_t[order], merged_r[order], m_ref)
-        # None only where the residual is flat at round-off: no exchange is
-        # left, so the solve stops on the current reference
+        # None only where the residual is flat at round-off: stop on ref
         stuck = new_ref is None
         ref = ref if stuck else new_ref
         rr = resid(ref)
@@ -187,7 +182,6 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
         spread = maxres - minres
         converged = spread <= max(_REL_TOL * minres, m_ref * sys.float_info.epsilon * fmax)
         if converged or stuck:
-            at_floor = stuck or spread > _REL_TOL * minres
             break
 
     return ApproxResult(
@@ -198,7 +192,7 @@ def remez_best_approx(f, L: int, interval) -> ApproxResult:
         iterations=iterations,
         converged=converged,
         alternation_residuals=rr,
-        at_roundoff_floor=at_floor,
+        at_roundoff_floor=stuck or (converged and spread > _REL_TOL * minres),
     )
 
 
