@@ -361,6 +361,10 @@ class CompositeResult:
 # filled once per (functional, degree, interval)
 _PLAN_CACHE: dict = {}
 
+# counts per block of _CompositeRule.poly_values, whose rows of L + 1
+# floats then take a few MB at a time
+_POLY_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class _CompositeRule:
@@ -404,7 +408,14 @@ class _CompositeRule:
         Each count's U[T_j] is carried over r^j, r the power of two above
         3 + 4 max(N, L) / lam, which is exact and keeps it within [-1, 1]; a
         value past 2**1000 is held there before the clamp.  Rows hold O(L)
-        floats per count: 1e6 distinct counts at L = 12 take about 0.5 GB."""
+        floats per count, so the counts run in blocks of _POLY_BLOCK; each
+        row depends only on its own count, so the values are bit-identical
+        to one pass over all of them."""
+        blocks = range(0, max(counts.size, 1), _POLY_BLOCK)
+        return np.concatenate([self._poly_block(counts[i : i + _POLY_BLOCK]) for i in blocks])
+
+    def _poly_block(self, counts) -> np.ndarray:
+        """poly_values at one block of counts."""
         c = self.approx.cheb_coeffs
         L = c.size - 1
         lam = self.n_eff * self.interval[1]

@@ -8,7 +8,8 @@ a closed-form rate oracle keyed on the divergence-speed exponent.  Both
 run one simulation routine, which runs the reps of every cell in
 cell-then-rep order, serially or over at most one fork pool.  Each rep
 draws an exact sample of n from P, by a rule fixed by the cell: where
-n <= k, n symbols from a Walker alias table of P, counted; where n > k,
+n <= k, n symbols from a Walker alias table of P, counted (with no alias
+coins where the table keeps every symbol, as for uniform P); where n > k,
 numpy's multinomial histogram, which the composite splits with
 estimators._thin, as split_samples does.  A rep draws bare count
 arrays.  A symbol's term depends only on its count (for the composite,
@@ -224,9 +225,15 @@ def _sampler(P: np.ndarray, table, n: int, split: bool):
     O(n + k); with split, the first Binomial(n, 1/2) symbols are the
     estimation half and the rest the selector half, which has the law of
     thinning each sample by a fair coin, since the coins are independent
-    of the symbols.
+    of the symbols.  Where the table keeps every symbol (q = 1, checked
+    once per cell), every alias coin would keep j: the draw takes the
+    uniform symbols as they are and advances the rng past the n doubles
+    the coins would take.  The risk lab's PCG64 spends one 64-bit output
+    per double, so the split's binomial, the only later draw, sees the
+    same state and the counts are bit-identical to the coin path's.
     """
     k = P.size
+    keeps_all = table is not None and bool((table[0] == 1.0).all())
 
     def draw(rng):
         if n > k:
@@ -234,7 +241,11 @@ def _sampler(P: np.ndarray, table, n: int, split: bool):
             return _thin(counts, rng) if split else counts
         q, alias = table
         j = rng.integers(0, k, n)
-        sym = np.where(rng.random(n) < q[j], j, alias[j])
+        if keeps_all:
+            sym = j
+            rng.bit_generator.advance(n)
+        else:
+            sym = np.where(rng.random(n) < q[j], j, alias[j])
         if not split:
             return np.bincount(sym, minlength=k)
         m = rng.binomial(n, 0.5)
@@ -511,12 +522,16 @@ def rate_sweep(
 ) -> SweepResult:
     """Monte Carlo risk across an n-grid with k tied to n by k_rule.
 
-    Requires at least 4 grid points spanning a decade so the log-log
-    slope fit means something.  The theory column is theoretical_rate at
-    phi.alpha, computed for the whole grid before any rep runs, so an
-    exponent outside (0, 2] is rejected up front.
+    Requires at least 4 distinct grid points spanning a decade so the
+    log-log slope fit means something, and distinct estimators.  The
+    theory column is theoretical_rate at phi.alpha, computed for the
+    whole grid before any rep runs, so an exponent outside (0, 2] is
+    rejected up front.
     """
     ns = sorted(int(n) for n in n_grid)
+    repeated = sorted({n for n, m in zip(ns, ns[1:]) if n == m})
+    if repeated:
+        raise ConfigurationError(f"n_grid values must be distinct, got {repeated} more than once")
     if len(ns) < 4:
         raise ConfigurationError(f"n_grid needs >= 4 points, got {len(ns)}")
     if ns[0] < 2:
@@ -528,6 +543,8 @@ def rate_sweep(
     estimators = list(estimators)
     if not estimators:
         raise ConfigurationError(f"estimators must name at least one of {ESTIMATORS}")
+    if len(set(estimators)) < len(estimators):
+        raise ConfigurationError(f"estimators must be distinct, got {estimators}")
     k_of = parse_k_rule(k_rule)
     specs = [DistributionSpec(family=family, k=k_of(n), param=param) for n in ns]
     theory = [theoretical_rate(phi.alpha, n, spec.k) for n, spec in zip(ns, specs)]

@@ -6,6 +6,7 @@ package.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -1118,6 +1119,33 @@ class TestRiskSweepCommand:
         assert json.loads(out1)["slopes"] == json.loads(out2)["slopes"]
         assert json.loads(out1)["slopes"] == json.loads(out3)["slopes"]
 
+    # sha256 of the CSV of the uniform k = n shannon sweep below (n 1e3 to
+    # 1e4, plugin and composite, 100 reps, seed 7), taken at PINNED_NUMPY
+    # while every rep still flipped its alias coins.  Any change to the rep
+    # loop that moves one byte of it fails here.  numpy's Generator streams
+    # may change between versions (NEP 19), so another numpy fails on the
+    # version first; test_draws_are_the_alias_coin_formula checks the draws
+    # under any numpy.
+    PINNED_SWEEP_SHA256 = "0e8003f53fa9334427090b8dac09201ec9aa00b56f4b241e897a50520eab9e8a"
+    PINNED_NUMPY = "2.4.6"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_pinned_sweep_bytes(self, tmp_path, capsys, jobs):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            ["risk-sweep", "--family", "uniform", "--phi", "shannon", "--k-rule", "n",
+             "--n-grid", "1000,2000,5000,10000", "--estimators", "plugin,composite",
+             "--reps", "100", "--jobs", jobs, "--out", str(out_path), "--seed", "7"],
+            capsys,
+        )
+        assert np.__version__ == self.PINNED_NUMPY, (
+            f"digest taken at numpy {self.PINNED_NUMPY}, running {np.__version__}; "
+            "re-pin it from the parent commit's sweep at this numpy"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == self.PINNED_SWEEP_SHA256
+
     def test_unwritable_out_exit_3(self, tmp_path, capsys, monkeypatch):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was checked")
@@ -1172,6 +1200,22 @@ class TestRiskSweepCommand:
             capsys,
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--estimators", "composite,composite"), ("--n-grid", "10,10,10,100")],
+        ids=["estimators", "n-grid"],
+    )
+    def test_repeated_entries_exit_3(self, tmp_path, capsys, flag, value):
+        argv = ["risk-sweep", "--family", "uniform", "--phi", "shannon",
+                "--n-grid", "30,60,120,300", "--reps", "100",
+                "--out", str(tmp_path / "s.csv")]
+        code, out, err = run_cli(argv + [flag, value], capsys)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "distinct" in lines[0]
+        assert not (tmp_path / "s.csv").exists()
 
     def test_garbage_grid_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(

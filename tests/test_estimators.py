@@ -472,6 +472,39 @@ class TestBestPolySymbol:
         want = [_poly_symbol(N, 5000.0, rule.approx, rule.clamp) for N in clamped]
         assert rule.poly_values(np.array(clamped, dtype=np.int64)).tolist() == want
 
+    @staticmethod
+    def _degree12_rule():
+        # shannon's L = 12 best approximation on [0, 0.05] at n_eff 1e5,
+        # slack clamp, so every count's value is the recurrence's own
+        approx = remez_best_approx(SH.eval, 12, (0.0, 0.05))
+        return _poly_rule(approx, (0.0, 0.05), (-1e9, 1e9), 1e5)
+
+    def test_poly_values_blocks_are_bit_identical(self, monkeypatch):
+        rule = self._degree12_rule()
+        counts = np.arange(0, 30_000, 3, dtype=np.int64)
+        # one block at the default, so whole is a single pass
+        assert counts.size <= estimators._POLY_BLOCK
+        whole = rule.poly_values(counts)
+        monkeypatch.setattr(estimators, "_POLY_BLOCK", 7)
+        assert rule.poly_values(counts).tobytes() == whole.tobytes()
+        assert rule.poly_values(counts[:0]).shape == (0,)
+
+    def test_poly_values_memory_is_bounded(self):
+        # one pass over 3e5 distinct counts at L = 12 held about 150 MiB of
+        # rows; in blocks only a block's rows and the values are live
+        import tracemalloc
+
+        rule = self._degree12_rule()
+        counts = np.arange(300_000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            values = rule.poly_values(counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(values).all()
+        assert peak < 32 * 2**20
+
 
 def _plugin_symbol(N, n, phi, cfg):
     # the composite's plugin branch for one symbol: phi_bar(N/n) at cfg's order

@@ -422,6 +422,53 @@ class TestSampler:
             loop.append(run_estimator(estimator, data, phi, cfg, rng).estimate)
         assert report.estimates.tolist() == loop
 
+    # uniform P k rounds just below 1 at k = 49 and to 1 at k = 1000
+    @pytest.mark.parametrize("k, below", [(49, True), (1000, False)])
+    def test_uniform_alias_table_keeps_every_symbol(self, k, below):
+        P = DistributionSpec("uniform", k).probability_vector()
+        assert ((P * k < 1.0) == below).all()
+        q, alias = risklab._alias_table(P)
+        assert q.dtype == np.float64 and alias.dtype == np.int64
+        assert q.tolist() == [1.0] * k and alias.tolist() == list(range(k))
+
+    def test_zipf_alias_table_has_coins(self):
+        q, _ = risklab._alias_table(DistributionSpec("zipf", 1000).probability_vector())
+        assert (q < 1.0).any()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (DistributionSpec("uniform", 49), 49),
+            (DistributionSpec("uniform", 49), 48),
+            (DistributionSpec("uniform", 1000), 999),
+            (DistributionSpec("uniform", 1000), 1000),
+            (DistributionSpec("zipf", 1000), 999),
+            (DistributionSpec("zipf", 1000), 1000),
+        ],
+        ids=["uniform49-odd", "uniform49-even", "uniform1000-odd", "uniform1000-even",
+             "zipf-odd", "zipf-even"],
+    )
+    def test_draws_are_the_alias_coin_formula(self, spec, n, split):
+        # where the table keeps every symbol the draw skips the coins and
+        # advances past them; its counts must be the coin path's, bit for bit
+        P = spec.probability_vector()
+        q, alias = table = risklab._alias_table(P)
+        draw = risklab._sampler(P, table, n, split=split)
+        k = spec.k
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            j = rng.integers(0, k, n)
+            sym = np.where(rng.random(n) < q[j], j, alias[j])
+            if split:
+                m = rng.binomial(n, 0.5)
+                want = (np.bincount(sym[:m], minlength=k), np.bincount(sym[m:], minlength=k))
+            else:
+                want = (np.bincount(sym, minlength=k),)
+            got = draw(np.random.default_rng(seed))
+            got = got if split else (got,)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
 
 class TestTheoreticalRate:
     def test_alpha_one_frozen(self):
@@ -514,6 +561,25 @@ class TestRateSweep:
     def test_empty_estimator_list(self):
         with pytest.raises(ConfigurationError, match="at least one"):
             rate_sweep("uniform", SH, [], [100, 200, 500, 1000])
+
+    @pytest.mark.parametrize(
+        "names, n_grid, match",
+        [
+            (["composite", "composite"], [30, 60, 120, 300], "estimators must be distinct"),
+            (["plugin", "composite", "plugin"], [30, 60, 120, 300], "estimators must be distinct"),
+            # four points but two distinct values
+            (["plugin"], [10, 10, 10, 100], r"n_grid values must be distinct, got \[10\]"),
+            (["plugin"], [30, 60, 120, 300, 60], r"got \[60\]"),
+        ],
+        ids=["estimator-twice", "estimator-apart", "n-thrice", "n-twice"],
+    )
+    def test_repeats_rejected_before_any_rep(self, names, n_grid, match, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a rep ran before the repeat was caught")
+
+        monkeypatch.setattr(risklab, "_sampler", fail)
+        with pytest.raises(ConfigurationError, match=match):
+            rate_sweep("uniform", SH, names, n_grid, reps=100)
 
     @pytest.mark.parametrize("alpha", [2.5, -1.0])
     def test_bad_exponent_rejected_before_any_rep(self, alpha, monkeypatch):
