@@ -305,8 +305,17 @@ def _fingerprint_sum(counts, branch, values) -> float:
     each symbol's index into it, or None where every symbol takes
     values[0].  A symbol's term depends only on its key B * count +
     branch, B = len(values), so the sum is the math.fsum of F[key] *
-    values[b](count) over the keys present, where F[key] symbols share a
-    key; each function sees the distinct counts of its branch, ascending.
+    values[b](count) over the keys present (_fingerprint), where F[key]
+    symbols share a key, each term found by _key_values.  A risk-lab rep
+    sums the same way, its terms gathered from a table of _key_values.
+    """
+    keys, mult = _fingerprint(counts, branch, len(values))
+    return math.fsum((mult * _key_values(keys, values)).tolist())
+
+
+def _fingerprint(counts, branch, B) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, F): the distinct keys B * count + branch of the symbols,
+    ascending, and how many symbols share each; branch None reads as 0.
 
     While the largest key is below the number of symbols, F is read off
     the sorted keys by one binary search per key value up to the largest;
@@ -320,22 +329,31 @@ def _fingerprint_sum(counts, branch, values) -> float:
     F[0] queue up: at k = 92 103, n = 1e4 it took 3.5 times as long as
     the sort.)
     """
-    B = len(values)
-    # counts are non-negative int64, so as uint64 even 2 * count + 1 fits
-    keys = np.sort(counts if branch is None else B * counts.view(np.uint64) + branch)
+    if branch is None:
+        keys = counts.copy()
+    else:
+        # counts are non-negative int64, so as uint64 even 2 * count + 1 fits
+        keys = B * counts.view(np.uint64)
+        keys += branch
+    keys.sort()
     top = int(keys[-1])
     if top < keys.size:
-        F = np.diff(np.searchsorted(keys, np.arange(top + 2, dtype=keys.dtype)))
-        keys = np.flatnonzero(F)
-        mult = F[keys]
-    else:
-        keys, mult = np.unique(keys, return_counts=True)
-    counts, branch = np.divmod(keys, B)
+        edges = np.searchsorted(keys, np.arange(top + 2, dtype=keys.dtype))
+        F = edges[1:] - edges[:-1]
+        keys = F.nonzero()[0]
+        return keys, F[keys]
+    return np.unique(keys, return_counts=True)
+
+
+def _key_values(keys, values) -> np.ndarray:
+    """values[b](count) at each key B * count + b, B = len(values); each
+    function sees the counts of its branch in the order of keys."""
+    counts, branch = np.divmod(keys, len(values))
     terms = np.empty(keys.size)
     for b, fn in enumerate(values):
         at = branch == b
         terms[at] = fn(counts[at])
-    return math.fsum((mult * terms).tolist())
+    return terms
 
 
 @dataclass(frozen=True)

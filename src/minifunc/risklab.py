@@ -12,13 +12,16 @@ n <= k, n symbols from a Walker alias table of P, counted (with no alias
 coins where the table keeps every symbol, as for uniform P); where n > k,
 numpy's multinomial histogram, which the composite splits with
 estimators._thin, as split_samples does.  A rep draws bare count
-arrays.  A symbol's term depends only on its count (for the composite,
-its two split counts), so a rep's estimate is estimators._fingerprint_sum
-of its counts: how many symbols share each count, times the estimator's
-value at that count, read from tables the cell fills once.  The
-estimates are byte-identical to run_estimator's on the same draw.  Every
-random draw is seeded from (master_seed, n, k, estimator index, rep), so
-results are reproducible bit-for-bit regardless of worker count.
+arrays.  A symbol's term depends only on its key, its count (for the
+composite, 2 * estimation count + branch), so a rep's estimate is the sum
+estimators._fingerprint_sum would give: how many symbols share each key,
+times the estimator's value at that key, gathered from one table the
+cell fills once.  The estimates are byte-identical to run_estimator's on
+the same draw.  Every rep is seeded as numpy's
+PCG64(SeedSequence((master_seed, n, k, estimator index, rep))), which a
+cell derives for all its reps at once and certifies against numpy at its
+first and last rep, so results are reproducible bit-for-bit regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, MinifuncError
-from .estimators import ESTIMATORS, _count_rule, _fingerprint_sum, _thin, tuned_config
+from .errors import ConfigurationError, MinifuncError, NumericalError
+from .estimators import ESTIMATORS, _count_rule, _fingerprint, _key_values, _thin, tuned_config
 from .functionals import Functional, additive_functional
 
 __all__ = [
@@ -105,7 +108,9 @@ class DistributionSpec:
         if self.family == "uniform":
             p = np.full(self.k, 1.0 / self.k)
         elif self.family == "zipf":
-            p = 1.0 / np.arange(1.0, self.k + 1.0) ** self._param()
+            # a power past the float range is inf, whose reciprocal 0 is the mass
+            with np.errstate(over="ignore"):
+                p = 1.0 / np.arange(1.0, self.k + 1.0) ** self._param()
             p /= math.fsum(p.tolist())
         elif self.family == "two_spike":
             p = np.zeros(self.k)
@@ -254,58 +259,149 @@ def _sampler(P: np.ndarray, table, n: int, split: bool):
     return draw
 
 
-class _CountTable:
-    """values[c] = fn(c) for the counts c = 0, 1, ..., filled on demand.
+class _KeyTable:
+    """table[key] = _key_values(key, values) for the keys 0, 1, ..., filled
+    on demand.
 
-    at() stands in for fn in _fingerprint_sum: it fills the table, doubling
-    it, up to the largest count asked for, but never past limit; larger
-    counts are handed to fn directly.  fn is the estimator's own per-count
-    function, and numpy gives the same bits for a count wherever it sits
-    in the array, so a table entry is the value run_estimator computes."""
+    at() gives the terms of ascending keys B * count + branch, B =
+    len(values), from one gather: it fills the table, doubling it, up to
+    the largest key asked for, but never past limit; larger keys are
+    handed to _key_values directly.  values are the estimator's own
+    per-count functions, and numpy gives the same bits for a count
+    wherever it sits in the array, so a table entry is the value
+    run_estimator computes."""
 
-    def __init__(self, fn, limit: int):
-        self.fn = fn
+    def __init__(self, values, limit: int):
+        self.values = values
         self.limit = limit
-        self.values = np.empty(0)
+        self.table = np.empty(0)
 
-    def at(self, counts: np.ndarray) -> np.ndarray:
-        """fn at each of counts, which are ascending."""
-        top = int(counts[-1]) if counts.size else -1
-        if top >= self.values.size:
+    def at(self, keys: np.ndarray) -> np.ndarray:
+        """The term of each of keys, which are ascending."""
+        top = int(keys[-1])
+        if top >= self.table.size:
             if top > self.limit:
-                return np.asarray(self.fn(counts), dtype=float)
-            have = self.values.size
+                return _key_values(keys, self.values)
+            have = self.table.size
             size = min(max(top + 1, 2 * have), self.limit + 1)
-            fresh = np.asarray(self.fn(np.arange(have, size)), dtype=float)
-            self.values = np.concatenate([self.values, fresh])
-        return self.values[counts]
+            fresh = _key_values(np.arange(have, size), self.values)
+            self.table = np.concatenate([self.table, fresh])
+        return self.table[keys]
 
 
-def _cell(spec, estimator, n, phi, cfg, master_seed, P, table):
+# numpy's SeedSequence constants (its published mixing algorithm, in
+# numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hash of value (an int or a uint64 array of 32-bit
+    words) under the running constant const, which steps by mult:
+    (hash, next constant)."""
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (ints or uint64 arrays)."""
+    x = (_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32) & _M32
+    return x ^ x >> 16
+
+
+def _rep_seeds(key: tuple, reps: np.ndarray) -> np.ndarray:
+    """SeedSequence(key + (r,)).generate_state(4, np.uint64) for each r of
+    reps, below 2**32, as one row each.
+
+    SeedSequence reads each int of its entropy as its 32-bit words (0 as
+    one word), hashes the first four into a pool of four words, mixes the
+    pool together, then mixes each later word into every pool word; each
+    hash steps a running constant by MULT_A, 4 hashes per word in all.
+    key's four ints give at least four words, so SeedSequence(key).pool is
+    the pool before r's word, the last: that word is mixed in for every r
+    at once, in uint64 arrays of 32-bit values, and generate_state hashes
+    the pool into 8 words, paired little-endian."""
+    words = sum(max(1, -(-x.bit_length() // 32)) for x in key)
+    const = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _M32
+    pool = np.random.SeedSequence(key).pool.tolist()
+    r = np.asarray(reps, dtype=np.uint64)
+    for d in range(4):
+        h, const = _hashmix(r, const, _MULT_A)
+        pool[d] = _mix(pool[d], h)
+    out, const = [], _INIT_B
+    for i in range(8):
+        h, const = _hashmix(pool[i % 4], const, _MULT_B)
+        out.append(h)
+    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_state(seed: np.ndarray) -> dict:
+    """The PCG64 state that PCG64(SeedSequence) sets from the seed words
+    (initstate high, low, initseq high, low): inc = 2 initseq + 1 and
+    state = ((inc + initstate) M + inc) mod 2**128, no 32-bit half held."""
+    s_hi, s_lo, i_hi, i_lo = seed.tolist()
+    inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+# reps per _rep_seeds call, whose uint64 temporaries take ~180 bytes a rep
+_SEED_BLOCK = 2**16
+
+
+def _certified_seeds(key: tuple, reps: int) -> np.ndarray:
+    """_rep_seeds of reps 0 .. reps - 1 under key, in blocks of
+    _SEED_BLOCK, after a certificate: the states of rep 0 and rep reps - 1
+    must be numpy's own, PCG64(SeedSequence(key + (r,))).state, or
+    NumericalError is raised."""
+    seeds = np.empty((reps, 4), dtype=np.uint64)
+    for lo in range(0, reps, _SEED_BLOCK):
+        seeds[lo : lo + _SEED_BLOCK] = _rep_seeds(key, np.arange(lo, min(lo + _SEED_BLOCK, reps)))
+    for r in (0, reps - 1):
+        if _pcg64_state(seeds[r]) != np.random.PCG64(np.random.SeedSequence(key + (r,))).state:
+            raise NumericalError(
+                f"bulk-derived PCG64 state of rep {r} under seed key {key} differs from "
+                f"numpy {np.__version__}'s SeedSequence"
+            )
+    return seeds
+
+
+def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
     """theta and the rep function of one (spec, estimator, n) cell.
 
     P and its alias table are built once per spec, the estimator's
-    per-count rule (the composite's Remez plan included) here; all before
-    any pool forks, so every rep only reads them.  The rule's value
-    functions become one _CountTable per branch, limited to min(n, k),
-    which each process fills as its reps need; a rep is then a draw of
-    bare counts and one _fingerprint_sum against the tables."""
+    per-count rule (the composite's Remez plan included) and the reps'
+    seeds here; all before any pool forks, so every rep only reads them.
+    Rep r's generator state is numpy's PCG64(SeedSequence((master_seed,
+    n, k, estimator index, r))), derived for every rep at once by
+    _certified_seeds and set on the cell's one Generator.  The rule's value
+    functions become one _KeyTable over the keys B * count + branch,
+    limited to counts of min(n, k), which each process fills as its reps
+    need; a rep is then a draw of bare counts, its _fingerprint, one
+    gather from the table and one math.fsum."""
     est_idx = ESTIMATORS.index(estimator)
     rule, values = _count_rule(estimator, phi, cfg, n)
     draw = _sampler(P, table, n, split=rule is not None)
-    tabled = [_CountTable(fn, min(n, spec.k)).at for fn in values]
+    B = len(values)
+    tabled = _KeyTable(values, B * min(n, spec.k) + B - 1)
+    seeds = _certified_seeds((master_seed, n, spec.k, est_idx), reps)
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
 
     def run_rep(r: int) -> float:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((master_seed, n, spec.k, est_idx, r))
-        )
+        bitgen.state = _pcg64_state(seeds[r])
         if rule is None:
             counts, branch = draw(rng), None
         else:
             counts, sel = draw(rng)
             branch = rule.branch(sel)
         try:
-            return _fingerprint_sum(counts, branch, tabled)
+            keys, mult = _fingerprint(counts, branch, B)
+            return math.fsum((mult * tabled.at(keys)).tolist())
         except MinifuncError as e:
             raise type(e)(
                 f"estimator {estimator!r} failed at rep {r}: {e}"
@@ -332,6 +428,9 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
             raise ConfigurationError(f"sample size must be >= 1, got {n}")
     if reps < 100:
         raise ConfigurationError(f"reps must be >= 100, got {reps}")
+    # a rep index is one 32-bit word of its seed key
+    if reps >= 2**32:
+        raise ConfigurationError(f"reps must be < 2**32, got {reps}")
     if master_seed < 0:
         raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
     if jobs < 1:
@@ -345,7 +444,7 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
             dists[spec] = spec.probability_vector(rng=np.random.default_rng(seq))
         if n <= spec.k and spec not in tables:
             tables[spec] = _alias_table(dists[spec])
-    built = (_cell(s, est, n, phi, cfg, master_seed, dists[s], tables.get(s)) for s, est, n in cells)
+    built = (_cell(s, est, n, phi, cfg, master_seed, dists[s], tables.get(s), reps) for s, est, n in cells)
     thetas, run_reps = zip(*built)
 
     workers = min(jobs, os.cpu_count() or 1, len(cells) * reps)

@@ -1179,6 +1179,28 @@ class TestRiskSweepCommand:
             assert err == f"error: {family} parameter must be positive and finite, got inf\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_zipf_past_the_float_range_keeps_stderr_empty(self, tmp_path):
+        # 6**400 overflows a double: those symbols have mass 0, silently
+        proc = _run_module(
+            "risk-sweep", "--family", "zipf", "--param", "400", "--phi", "shannon",
+            "--n-grid", "10,20,50,100", "--reps", "100", "--out", str(tmp_path / "z.csv"),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_wrong_seed_derivation_exit_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("minifunc.risklab._MIX_MULT_R", 0)
+        code, out, err = run_cli(self._argv(str(tmp_path / "s.csv")), capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: bulk-derived PCG64 state of rep 0 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_reps_past_one_word_exit_3(self, tmp_path, capsys):
+        argv = self._argv(str(tmp_path / "s.csv"))
+        argv[argv.index("--reps") + 1] = str(2**32)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", "error: reps must be < 2**32, got 4294967296\n")
+
     def test_flat_mse_slope_is_null(self, tmp_path, capsys):
         # a point mass: the plugin is exact, its MSE is 0 and log MSE has no slope
         code, out, _ = run_cli(

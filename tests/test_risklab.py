@@ -4,6 +4,7 @@ import collections
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ class TestDistributionSpec:
         p = DistributionSpec("zipf", 3, param=2.0).probability_vector()
         weights = np.array([1.0, 0.25, 1.0 / 9.0])
         assert p == pytest.approx(weights / weights.sum(), rel=1e-12)
+
+    # the power overflows from symbol 6 on at exponent 400 and from
+    # symbol 9957 on at 77.1; the suite turns a RuntimeWarning into an error
+    @pytest.mark.parametrize("k, s, finite", [(10, 400.0, 5), (10**4, 77.1, 9956)])
+    def test_zipf_past_the_float_range_is_silent(self, k, s, finite):
+        p = DistributionSpec("zipf", k, param=s).probability_vector()
+        head = 1.0 / np.arange(1.0, finite + 1.0) ** s
+        assert p[:finite].tolist() == (head / math.fsum(head.tolist())).tolist()
+        assert (p[finite:] == 0.0).all()
 
     def test_two_spike(self):
         p = DistributionSpec("two_spike", 4, param=0.3).probability_vector()
@@ -223,7 +233,8 @@ class TestMonteCarloRisk:
         assert serial.mse == forked.mse
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
-        real = risklab._fingerprint_sum
+        # a rep sums its values from the fingerprint of its counts
+        real = risklab._fingerprint
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # n = 200 is drawn by symbol at k = 200 and as a histogram at k = 20
         for k in (200, 20):
@@ -236,12 +247,12 @@ class TestMonteCarloRisk:
             P = spec.probability_vector()
             counts150 = risklab._sampler(P, risklab._alias_table(P), 200, split=False)(rng150)
 
-            def failing(counts, branch, values, counts150=counts150):
+            def failing(counts, branch, B, counts150=counts150):
                 if np.array_equal(counts, counts150):
                     raise NumericalError("injected")
-                return real(counts, branch, values)
+                return real(counts, branch, B)
 
-            monkeypatch.setattr(risklab, "_fingerprint_sum", failing)
+            monkeypatch.setattr(risklab, "_fingerprint", failing)
             with pytest.raises(NumericalError, match="failed at rep 150: injected"):
                 monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
 
@@ -316,6 +327,72 @@ class TestMonteCarloRisk:
     def test_registry_is_stable(self):
         # seeding uses registry positions, so the order is a contract
         assert ESTIMATORS == ("plugin", "corrected", "composite")
+
+
+class TestRepSeeds:
+    """Rep r of a cell is seeded as np.random.PCG64(np.random.SeedSequence(
+    (seed, n, k, estimator index, r))); the cell derives those states for
+    all its reps at once."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_states_are_numpys(self, seed):
+        reps = np.r_[np.arange(1000), 2**32 - 1]
+        for n in (1, 1000, 2**40):
+            for k in (1, 1000, 2**40):
+                for est_idx in range(len(ESTIMATORS)):
+                    key = (seed, n, k, est_idx)
+                    seeds = risklab._rep_seeds(key, reps)
+                    for r, row in zip(reps.tolist(), seeds):
+                        want = np.random.PCG64(np.random.SeedSequence(key + (r,))).state
+                        assert risklab._pcg64_state(row) == want, (key, r)
+
+    def test_seeds_are_derived_in_bounded_blocks(self):
+        key, reps = (3, 1000, 1000, 2), 10 * risklab._SEED_BLOCK + 7
+        tracemalloc.start()
+        try:
+            seeds = risklab._certified_seeds(key, reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seeds.tobytes() == risklab._rep_seeds(key, np.arange(reps)).tobytes()
+        # the 32-byte rows themselves plus one block's temporaries
+        assert peak < 2 * seeds.nbytes
+
+    @pytest.mark.parametrize(
+        "name",
+        ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R", "_PCG64_MULT"],
+    )
+    def test_certificate_catches_a_wrong_constant(self, monkeypatch, name):
+        monkeypatch.setattr(risklab, name, getattr(risklab, name) ^ 2)
+        with pytest.raises(NumericalError, match="bulk-derived PCG64 state of rep 0 "):
+            monte_carlo_risk(DistributionSpec("uniform", 10), SH, "plugin", 10, reps=100)
+
+    def test_certificate_checks_the_last_rep(self, monkeypatch):
+        real = risklab._rep_seeds
+
+        def last_wrong(key, reps):
+            seeds = real(key, reps)
+            seeds[-1, 3] ^= 1
+            return seeds
+
+        monkeypatch.setattr(risklab, "_rep_seeds", last_wrong)
+        with pytest.raises(NumericalError, match="state of rep 149 "):
+            monte_carlo_risk(DistributionSpec("uniform", 10), SH, "plugin", 10, reps=150)
+
+    def test_reps_past_one_word_rejected_before_any_state(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a cell was built")
+
+        for name in ("_alias_table", "_cell", "_rep_seeds"):
+            monkeypatch.setattr(risklab, name, fail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=r"reps must be < 2\*\*32, got 4294967296"):
+                monte_carlo_risk(DistributionSpec("uniform", 10), SH, "plugin", 10, reps=2**32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _moments_within(samples, mean, cov, z=4.0):
