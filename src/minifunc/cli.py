@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -62,6 +61,8 @@ __all__ = ["main", "parse_phi", "read_counts", "schema_path"]
 
 def schema_path(command: str):
     """Filesystem path of the published output schema for a command."""
+    from importlib import resources  # only here: it costs every CLI process ~8 ms
+
     name = command.replace("-", "_") + ".json"
     return resources.files("minifunc") / "schemas" / name
 
@@ -528,23 +529,40 @@ def main(argv=None) -> int:
     except (MinifuncError, MemoryError) as e:
         code = next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
         prefix = "out of memory: " if isinstance(e, MemoryError) else ""
-        print(f"error: {prefix}{e}", file=sys.stderr)
+        _error_line(f"error: {prefix}{e}")
         return code
     phi_doc = {"kind": phi.kind} if phi.kind == "shannon" else {"kind": phi.kind, "alpha": phi.alpha}
     doc = {"command": args.command, "config": dict(params, phi=phi_doc, seed=args.seed), **body}
     text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
     try:
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise BrokenPipeError
         print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader is gone; stdout goes to devnull so that the
-        # interpreter's own flush at exit does not fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: standard output was closed before the result was written", file=sys.stderr)
+        _to_devnull(sys.stdout)
+        _error_line("error: standard output was closed before the result was written")
         return 3
     return 0
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's descriptor at devnull, where its reader is gone, so
+    that the interpreter's own flush at exit does not fail again."""
+    if stream is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
+def _error_line(line: str) -> None:
+    """Print line to stderr, or drop it where stderr is closed or its
+    reader gone (it may share stdout's pipe)."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
 
 
 def _finite_or_null(x):

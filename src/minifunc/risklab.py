@@ -17,11 +17,11 @@ composite, 2 * estimation count + branch), so a rep's estimate is the sum
 estimators._fingerprint_sum would give: how many symbols share each key,
 times the estimator's value at that key, gathered from one table the
 cell fills once.  The estimates are byte-identical to run_estimator's on
-the same draw.  Every rep is seeded as numpy's
-PCG64(SeedSequence((master_seed, n, k, estimator index, rep))), which a
-cell derives for all its reps at once and certifies against numpy at its
-first and last rep, so results are reproducible bit-for-bit regardless of
-worker count.
+the same draw.  A cell's reps run in blocks of _BLOCK: block b draws
+from numpy's default_rng(SeedSequence((master_seed, n, k, estimator
+index, b))), rep after rep, so each rep's draw is fixed by (master_seed,
+n, k, estimator, rep), a longer run extends a shorter one, and results
+are reproducible bit-for-bit regardless of worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, MinifuncError, NumericalError
+from .errors import ConfigurationError, MinifuncError
 from .estimators import ESTIMATORS, _count_rule, _fingerprint, _key_values, _thin, tuned_config
 from .functionals import Functional, additive_functional
 
@@ -166,13 +166,12 @@ class RiskReport:
         object.__setattr__(self, "estimates", estimates)
 
 
-def _jackknife_ses(estimates: np.ndarray, theta: float) -> tuple[float, float, float]:
+def _jackknife_ses(estimates: np.ndarray, theta: float, S: float, sq: np.ndarray, Q: float):
+    """Jackknife standard errors of (bias, variance, mse), given S, the
+    sum of estimates, sq, their squared errors, and Q, the sum of sq."""
     R = estimates.size
     if R < 2:
         return (0.0, 0.0, 0.0)
-    S = math.fsum(estimates.tolist())
-    sq = (estimates - theta) ** 2
-    Q = math.fsum(sq.tolist())
     loo_mean = (S - estimates) / (R - 1)
     loo_bias = loo_mean - theta
     loo_mse = (Q - sq) / (R - 1)
@@ -185,15 +184,19 @@ def _jackknife_ses(estimates: np.ndarray, theta: float) -> tuple[float, float, f
     return (se(loo_bias), se(loo_var), se(loo_mse))
 
 
-# (rep functions, reps per cell) of the simulation being forked: the
+# reps per seed key: rep r is rep r % _BLOCK of block r // _BLOCK's
+# stream, whatever the rep count, so the block size fixes every output
+_BLOCK = 100
+
+# (block functions, blocks per cell) of the simulation being forked: the
 # pool's workers inherit it, so no closure is pickled
 _SIMULATION: tuple = ()
 
 
-def _run_rep(i: int) -> float:
-    """Rep i of the flat cell-then-rep index of _SIMULATION."""
-    run_reps, reps = _SIMULATION
-    return run_reps[i // reps](i % reps)
+def _run_block(i: int) -> list[float]:
+    """Block i of the flat cell-then-block index of _SIMULATION."""
+    run_blocks, blocks = _SIMULATION
+    return run_blocks[i // blocks](i % blocks)
 
 
 def _alias_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,134 +292,53 @@ class _KeyTable:
         return self.table[keys]
 
 
-# numpy's SeedSequence constants (its published mixing algorithm, in
-# numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
-
-
-def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hash of value (an int or a uint64 array of 32-bit
-    words) under the running constant const, which steps by mult:
-    (hash, next constant)."""
-    nxt = const * mult & _M32
-    value = (value ^ const) * nxt & _M32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words (ints or uint64 arrays)."""
-    x = (_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32) & _M32
-    return x ^ x >> 16
-
-
-def _rep_seeds(key: tuple, reps: np.ndarray) -> np.ndarray:
-    """SeedSequence(key + (r,)).generate_state(4, np.uint64) for each r of
-    reps, below 2**32, as one row each.
-
-    SeedSequence reads each int of its entropy as its 32-bit words (0 as
-    one word), hashes the first four into a pool of four words, mixes the
-    pool together, then mixes each later word into every pool word; each
-    hash steps a running constant by MULT_A, 4 hashes per word in all.
-    key's four ints give at least four words, so SeedSequence(key).pool is
-    the pool before r's word, the last: that word is mixed in for every r
-    at once, in uint64 arrays of 32-bit values, and generate_state hashes
-    the pool into 8 words, paired little-endian."""
-    words = sum(max(1, -(-x.bit_length() // 32)) for x in key)
-    const = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _M32
-    pool = np.random.SeedSequence(key).pool.tolist()
-    r = np.asarray(reps, dtype=np.uint64)
-    for d in range(4):
-        h, const = _hashmix(r, const, _MULT_A)
-        pool[d] = _mix(pool[d], h)
-    out, const = [], _INIT_B
-    for i in range(8):
-        h, const = _hashmix(pool[i % 4], const, _MULT_B)
-        out.append(h)
-    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
-
-
-def _pcg64_state(seed: np.ndarray) -> dict:
-    """The PCG64 state that PCG64(SeedSequence) sets from the seed words
-    (initstate high, low, initseq high, low): inc = 2 initseq + 1 and
-    state = ((inc + initstate) M + inc) mod 2**128, no 32-bit half held."""
-    s_hi, s_lo, i_hi, i_lo = seed.tolist()
-    inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-
-
-# reps per _rep_seeds call, whose uint64 temporaries take ~180 bytes a rep
-_SEED_BLOCK = 2**16
-
-
-def _certified_seeds(key: tuple, reps: int) -> np.ndarray:
-    """_rep_seeds of reps 0 .. reps - 1 under key, in blocks of
-    _SEED_BLOCK, after a certificate: the states of rep 0 and rep reps - 1
-    must be numpy's own, PCG64(SeedSequence(key + (r,))).state, or
-    NumericalError is raised."""
-    seeds = np.empty((reps, 4), dtype=np.uint64)
-    for lo in range(0, reps, _SEED_BLOCK):
-        seeds[lo : lo + _SEED_BLOCK] = _rep_seeds(key, np.arange(lo, min(lo + _SEED_BLOCK, reps)))
-    for r in (0, reps - 1):
-        if _pcg64_state(seeds[r]) != np.random.PCG64(np.random.SeedSequence(key + (r,))).state:
-            raise NumericalError(
-                f"bulk-derived PCG64 state of rep {r} under seed key {key} differs from "
-                f"numpy {np.__version__}'s SeedSequence"
-            )
-    return seeds
-
-
 def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
-    """theta and the rep function of one (spec, estimator, n) cell.
+    """theta and the block function of one (spec, estimator, n) cell.
 
-    P and its alias table are built once per spec, the estimator's
-    per-count rule (the composite's Remez plan included) and the reps'
-    seeds here; all before any pool forks, so every rep only reads them.
-    Rep r's generator state is numpy's PCG64(SeedSequence((master_seed,
-    n, k, estimator index, r))), derived for every rep at once by
-    _certified_seeds and set on the cell's one Generator.  The rule's value
-    functions become one _KeyTable over the keys B * count + branch,
-    limited to counts of min(n, k), which each process fills as its reps
-    need; a rep is then a draw of bare counts, its _fingerprint, one
-    gather from the table and one math.fsum."""
-    est_idx = ESTIMATORS.index(estimator)
+    P and its alias table are built once per spec, and the estimator's
+    per-count rule (the composite's Remez plan included) here; all before
+    any pool forks, so every rep only reads them.  Block b runs reps
+    b * _BLOCK up to the next block or reps, one after another on
+    numpy's default_rng(SeedSequence((master_seed, n, k, estimator index,
+    b))).  The rule's value functions become one _KeyTable over the keys
+    B * count + branch, limited to counts of min(n, k), which each process
+    fills as its reps need; a rep is then a draw of bare counts, its
+    _fingerprint, one gather from the table and one math.fsum."""
+    key = (master_seed, n, spec.k, ESTIMATORS.index(estimator))
     rule, values = _count_rule(estimator, phi, cfg, n)
     draw = _sampler(P, table, n, split=rule is not None)
     B = len(values)
     tabled = _KeyTable(values, B * min(n, spec.k) + B - 1)
-    seeds = _certified_seeds((master_seed, n, spec.k, est_idx), reps)
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
 
-    def run_rep(r: int) -> float:
-        bitgen.state = _pcg64_state(seeds[r])
-        if rule is None:
-            counts, branch = draw(rng), None
-        else:
-            counts, sel = draw(rng)
-            branch = rule.branch(sel)
-        try:
-            keys, mult = _fingerprint(counts, branch, B)
-            return math.fsum((mult * tabled.at(keys)).tolist())
-        except MinifuncError as e:
-            raise type(e)(
-                f"estimator {estimator!r} failed at rep {r}: {e}"
-            ) from e
+    def run_block(b: int) -> list[float]:
+        rng = np.random.default_rng(np.random.SeedSequence(key + (b,)))
+        estimates = []
+        for r in range(b * _BLOCK, min((b + 1) * _BLOCK, reps)):
+            if rule is None:
+                counts, branch = draw(rng), None
+            else:
+                counts, sel = draw(rng)
+                branch = rule.branch(sel)
+            try:
+                keys, mult = _fingerprint(counts, branch, B)
+                estimates.append(math.fsum((mult * tabled.at(keys)).tolist()))
+            except MinifuncError as e:
+                raise type(e)(
+                    f"estimator {estimator!r} failed at rep {r}: {e}"
+                ) from e
+        return estimates
 
-    return additive_functional(P, phi), run_rep
+    return additive_functional(P, phi), run_block
 
 
 def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
     """One RiskReport per (spec, estimator, n) cell, in cell order.
 
-    The reps run, and their estimates are collected, in cell-then-rep
-    order; with jobs > 1 the flat rep index is mapped, ceil(reps /
-    workers) to a chunk, over one fork pool of min(jobs, cpu count,
-    cells * reps) workers.  Where fork is unavailable they run serially.
+    The blocks of reps run, and their estimates are collected, in
+    cell-then-block order; with jobs > 1 the flat block index is mapped,
+    ceil(blocks / workers) to a chunk, over one fork pool of min(jobs,
+    cpu count, cells * blocks) workers.  Where fork is unavailable they
+    run serially.
     """
     global _SIMULATION
     for _, estimator, n in cells:
@@ -426,11 +348,8 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
             )
         if n < 1:
             raise ConfigurationError(f"sample size must be >= 1, got {n}")
-    if reps < 100:
-        raise ConfigurationError(f"reps must be >= 100, got {reps}")
-    # a rep index is one 32-bit word of its seed key
-    if reps >= 2**32:
-        raise ConfigurationError(f"reps must be < 2**32, got {reps}")
+    if reps < _BLOCK:
+        raise ConfigurationError(f"reps must be >= {_BLOCK}, got {reps}")
     if master_seed < 0:
         raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
     if jobs < 1:
@@ -445,38 +364,43 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
         if n <= spec.k and spec not in tables:
             tables[spec] = _alias_table(dists[spec])
     built = (_cell(s, est, n, phi, cfg, master_seed, dists[s], tables.get(s), reps) for s, est, n in cells)
-    thetas, run_reps = zip(*built)
+    thetas, run_blocks = zip(*built)
 
-    workers = min(jobs, os.cpu_count() or 1, len(cells) * reps)
+    blocks = -(-reps // _BLOCK)
+    workers = min(jobs, os.cpu_count() or 1, len(cells) * blocks)
     if workers > 1:
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers == 1:
-        results = [run_rep(r) for run_rep in run_reps for r in range(reps)]
+        results = [run_block(b) for run_block in run_blocks for b in range(blocks)]
     else:
-        _SIMULATION = run_reps, reps
+        _SIMULATION = run_blocks, blocks
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 results = pool.map(
-                    _run_rep, range(len(cells) * reps), chunksize=math.ceil(reps / workers)
+                    _run_block, range(len(cells) * blocks), chunksize=math.ceil(blocks / workers)
                 )
         finally:
             _SIMULATION = ()
+    results = [x for block in results for x in block]
 
     reports = []
     for c, ((_, estimator, _), theta) in enumerate(zip(cells, thetas)):
         estimates = np.array(results[c * reps : (c + 1) * reps], dtype=float)
-        mean = math.fsum(estimates.tolist()) / reps
-        se_bias, se_variance, se_mse = _jackknife_ses(estimates, theta)
+        S = math.fsum(estimates.tolist())
+        sq = (estimates - theta) ** 2
+        Q = math.fsum(sq.tolist())
+        mean = S / reps
+        se_bias, se_variance, se_mse = _jackknife_ses(estimates, theta, S, sq, Q)
         reports.append(
             RiskReport(
                 estimator=estimator,
                 estimates=estimates,
                 bias=mean - theta,
                 variance=math.fsum(((estimates - mean) ** 2).tolist()) / reps,
-                mse=math.fsum(((estimates - theta) ** 2).tolist()) / reps,
+                mse=Q / reps,
                 reps=reps,
                 theta_true=theta,
                 se_bias=se_bias,
@@ -503,10 +427,11 @@ def monte_carlo_risk(
     tuned_config(phi.alpha) constants.  Where n <= k the rep draws n
     symbols from an alias table of P, and the composite's halves are the
     first Binomial(n, 1/2) symbols and the rest; where n > k it draws a
-    multinomial histogram, which the composite splits in place.  Rep r is
-    seeded from (master_seed, n, k, estimator index, r), so a longer run
-    extends a shorter one sample-for-sample and the worker count never
-    changes the output.  This is rate_sweep's simulation on a single
+    multinomial histogram, which the composite splits in place.  The reps
+    run in blocks of 100, and block b draws from one stream seeded from
+    (master_seed, n, k, estimator index, b), so rep r's draw is fixed by
+    (master_seed, n, k, estimator, r), a longer run extends a shorter one
+    sample-for-sample, and the worker count never changes the output.  This is rate_sweep's simulation on a single
     cell: with jobs > 1 the reps run in up to min(jobs, cpu count) forked
     worker processes, and serially where fork is unavailable.  Estimator
     failures are re-raised with the rep index.

@@ -124,3 +124,16 @@ def test_benchmark_cli_cold_outputs_pass_its_checks(bench_argvs, capsys, monkeyp
         assert main(argv) == 0, (argv, capsys.readouterr().err)
         op = {"argv": argv, "doc": json.loads(capsys.readouterr().out)}
         assert cold.check_op(op) == [], argv
+
+
+def test_benchmark_risk_sweep_passes_its_check(bench_argvs, capsys):
+    # the check perfbench/run.py applies to the risk-sweep pair: the
+    # --jobs 1 and --jobs 2 CSVs are identical, the theory column is the
+    # closed form and the composite's MSE at the top of the grid is at most
+    # half the plugin's
+    checks = _perfbench_module("checks")
+    csvs = []
+    for argv in bench_argvs[2]:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        csvs.append(Path(argv[argv.index("--out") + 1]).read_bytes())
+    assert checks.check_sweep(*csvs) == []

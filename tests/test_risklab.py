@@ -4,7 +4,6 @@ import collections
 import math
 import multiprocessing
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +57,34 @@ class _InlineForkContext:
 
     def map(self, fn, iterable, chunksize=1):
         return [fn(x) for x in iterable]
+
+
+def _rep_rngs(key, reps):
+    """The generator each rep of a cell with seed key draws from, in rep
+    order: one default_rng(SeedSequence(key + (b,))) per block of 100
+    reps, shared by that block's reps one after another."""
+    for b in range(-(-reps // 100)):
+        rng = np.random.default_rng(np.random.SeedSequence(key + (b,)))
+        for _ in range(min(100, reps - 100 * b)):
+            yield rng
+
+
+def _sampler_loop(phi, spec, n, estimator, reps, seed):
+    """Each rep's estimate as _sampler's draw handed to run_estimator."""
+    P = spec.probability_vector()
+    draw = risklab._sampler(P, risklab._alias_table(P), n, split=estimator == "composite")
+    cfg = tuned_config(phi.alpha)
+    loop = []
+    for rng in _rep_rngs((seed, n, spec.k, ESTIMATORS.index(estimator)), reps):
+        drawn = draw(rng)
+        if estimator == "composite":
+            # the halves tagged as split_samples tags them
+            est, sel = (Histogram(c, n / 2.0, "poissonized") for c in drawn)
+            data = SplitHistograms(est, sel, n_effective=n / 2.0)
+        else:
+            data = Histogram(drawn, n)
+        loop.append(run_estimator(estimator, data, phi, cfg, rng).estimate)
+    return loop
 
 
 class TestDistributionSpec:
@@ -211,8 +238,8 @@ class TestMonteCarloRisk:
         assert abs(rep.mse - (rep.bias**2 + rep.variance)) <= 1e-10 * scale
 
     def test_longer_run_extends_shorter(self):
-        # per-rep seeding makes rep r identical in both runs, so the
-        # short run is a prefix and the MSEs agree statistically
+        # rep r is rep r % 100 of block r // 100's stream in both runs, so
+        # the short run is a prefix and the MSEs agree statistically
         spec = DistributionSpec("uniform", 50)
         small = monte_carlo_risk(spec, SH, "composite", 500, reps=100)
         big = monte_carlo_risk(spec, SH, "composite", 500, reps=2000)
@@ -239,13 +266,12 @@ class TestMonteCarloRisk:
         # n = 200 is drawn by symbol at k = 200 and as a histogram at k = 20
         for k in (200, 20):
             spec = DistributionSpec("uniform", k)
-            # the counts the estimate sees at rep 150: the cell's own draw
-            # from that rep's key
-            rng150 = np.random.default_rng(
-                np.random.SeedSequence((0, 200, k, ESTIMATORS.index("plugin"), 150))
-            )
+            # the counts the estimate sees at rep 150: the cell's own draw,
+            # the 51st of block 1's stream
             P = spec.probability_vector()
-            counts150 = risklab._sampler(P, risklab._alias_table(P), 200, split=False)(rng150)
+            draw = risklab._sampler(P, risklab._alias_table(P), 200, split=False)
+            key = (0, 200, k, ESTIMATORS.index("plugin"))
+            counts150 = [draw(rng) for rng in _rep_rngs(key, 151)][150]
 
             def failing(counts, branch, B, counts150=counts150):
                 if np.array_equal(counts, counts150):
@@ -256,17 +282,17 @@ class TestMonteCarloRisk:
             with pytest.raises(NumericalError, match="failed at rep 150: injected"):
                 monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
 
-    @pytest.mark.parametrize("cores, workers", [(3, 3), (10**4, 800)])
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (10**4, 16)])
     def test_pool_capped_by_cores_and_reps(self, monkeypatch, cores, workers):
-        # one pool for the whole sweep: 4 n values x 2 estimators x 100 reps
-        # are 800 tasks, so 800 workers at most
+        # one pool for the whole sweep: 4 n values x 2 estimators x 2 blocks
+        # of reps (100 and 50) are 16 tasks, so 16 workers at most
         fake = _InlineForkContext()
         monkeypatch.setattr(multiprocessing, "get_context", fake.get_context)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         args = ("zipf", SH, ["plugin", "composite"], [30, 60, 120, 300])
-        serial = rate_sweep(*args, k_rule="fixed:20", reps=100, jobs=1)
-        pooled = rate_sweep(*args, k_rule="fixed:20", reps=100, jobs=10**6)
+        serial = rate_sweep(*args, k_rule="fixed:20", reps=150, jobs=1)
+        pooled = rate_sweep(*args, k_rule="fixed:20", reps=150, jobs=10**6)
         assert fake.methods == ["fork"]
         assert fake.sizes == [workers]
         assert pooled.to_csv() == serial.to_csv()
@@ -329,72 +355,6 @@ class TestMonteCarloRisk:
         assert ESTIMATORS == ("plugin", "corrected", "composite")
 
 
-class TestRepSeeds:
-    """Rep r of a cell is seeded as np.random.PCG64(np.random.SeedSequence(
-    (seed, n, k, estimator index, r))); the cell derives those states for
-    all its reps at once."""
-
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
-    def test_states_are_numpys(self, seed):
-        reps = np.r_[np.arange(1000), 2**32 - 1]
-        for n in (1, 1000, 2**40):
-            for k in (1, 1000, 2**40):
-                for est_idx in range(len(ESTIMATORS)):
-                    key = (seed, n, k, est_idx)
-                    seeds = risklab._rep_seeds(key, reps)
-                    for r, row in zip(reps.tolist(), seeds):
-                        want = np.random.PCG64(np.random.SeedSequence(key + (r,))).state
-                        assert risklab._pcg64_state(row) == want, (key, r)
-
-    def test_seeds_are_derived_in_bounded_blocks(self):
-        key, reps = (3, 1000, 1000, 2), 10 * risklab._SEED_BLOCK + 7
-        tracemalloc.start()
-        try:
-            seeds = risklab._certified_seeds(key, reps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert seeds.tobytes() == risklab._rep_seeds(key, np.arange(reps)).tobytes()
-        # the 32-byte rows themselves plus one block's temporaries
-        assert peak < 2 * seeds.nbytes
-
-    @pytest.mark.parametrize(
-        "name",
-        ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R", "_PCG64_MULT"],
-    )
-    def test_certificate_catches_a_wrong_constant(self, monkeypatch, name):
-        monkeypatch.setattr(risklab, name, getattr(risklab, name) ^ 2)
-        with pytest.raises(NumericalError, match="bulk-derived PCG64 state of rep 0 "):
-            monte_carlo_risk(DistributionSpec("uniform", 10), SH, "plugin", 10, reps=100)
-
-    def test_certificate_checks_the_last_rep(self, monkeypatch):
-        real = risklab._rep_seeds
-
-        def last_wrong(key, reps):
-            seeds = real(key, reps)
-            seeds[-1, 3] ^= 1
-            return seeds
-
-        monkeypatch.setattr(risklab, "_rep_seeds", last_wrong)
-        with pytest.raises(NumericalError, match="state of rep 149 "):
-            monte_carlo_risk(DistributionSpec("uniform", 10), SH, "plugin", 10, reps=150)
-
-    def test_reps_past_one_word_rejected_before_any_state(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("a cell was built")
-
-        for name in ("_alias_table", "_cell", "_rep_seeds"):
-            monkeypatch.setattr(risklab, name, fail)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError, match=r"reps must be < 2\*\*32, got 4294967296"):
-                monte_carlo_risk(DistributionSpec("uniform", 10), SH, "plugin", 10, reps=2**32)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-
 def _moments_within(samples, mean, cov, z=4.0):
     """Sample mean and covariance of the rows of samples lie within z
     standard errors of mean and cov."""
@@ -455,10 +415,7 @@ class TestSampler:
         P = spec.probability_vector()
         cfg = tuned_config(SH.alpha)
         loop = []
-        for r in range(reps):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, n, spec.k, ESTIMATORS.index(estimator), r))
-            )
+        for rng in _rep_rngs((seed, n, spec.k, ESTIMATORS.index(estimator)), reps):
             h = sample_histogram(P, n, rng=rng)
             loop.append(run_estimator(estimator, h, SH, cfg, rng).estimate)
         assert report.estimates.tolist() == loop
@@ -479,25 +436,18 @@ class TestSampler:
         ids=["power1.2-zipf", "two_spike", "uniform-n-above-k", "uniform-counts-above-k"],
     )
     def test_reps_are_the_sampler_and_run_estimator_loop(self, phi, spec, n, estimator):
-        reps, seed = 100, 3
-        report = monte_carlo_risk(spec, phi, estimator, n, reps=reps, master_seed=seed)
-        P = spec.probability_vector()
-        draw = risklab._sampler(P, risklab._alias_table(P), n, split=estimator == "composite")
-        cfg = tuned_config(phi.alpha)
-        loop = []
-        for r in range(reps):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, n, spec.k, ESTIMATORS.index(estimator), r))
-            )
-            drawn = draw(rng)
-            if estimator == "composite":
-                # the halves tagged as split_samples tags them
-                est, sel = (Histogram(c, n / 2.0, "poissonized") for c in drawn)
-                data = SplitHistograms(est, sel, n_effective=n / 2.0)
-            else:
-                data = Histogram(drawn, n)
-            loop.append(run_estimator(estimator, data, phi, cfg, rng).estimate)
-        assert report.estimates.tolist() == loop
+        report = monte_carlo_risk(spec, phi, estimator, n, reps=100, master_seed=3)
+        assert report.estimates.tolist() == _sampler_loop(phi, spec, n, estimator, 100, 3)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_partial_last_block_is_the_loop(self, monkeypatch, jobs):
+        # 250 reps are blocks of 100, 100 and 50; at jobs 3 one worker each
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec, n = DistributionSpec("zipf", 300), 300
+        longer = monte_carlo_risk(spec, SH, "composite", n, reps=250, master_seed=3, jobs=jobs)
+        assert longer.estimates.tolist() == _sampler_loop(SH, spec, n, "composite", 250, 3)
+        shorter = monte_carlo_risk(spec, SH, "composite", n, reps=150, master_seed=3, jobs=jobs)
+        assert shorter.estimates.tolist() == longer.estimates.tolist()[:150]
 
     # uniform P k rounds just below 1 at k = 49 and to 1 at k = 1000
     @pytest.mark.parametrize("k, below", [(49, True), (1000, False)])
