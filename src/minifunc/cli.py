@@ -267,10 +267,10 @@ def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
     preset = args.preset if args.c1 is None else "explicit"
     if preset == "explicit":
         order = default_correction_order(alpha)
-        cfg = EstimatorConfig(c1=args.c1, c2=args.c2, correction_order=order, rng_seed=args.seed)
+        cfg = EstimatorConfig(c1=args.c1, c2=args.c2, correction_order=order)
     else:
         make = tuned_config if preset == "tuned" else default_config
-        cfg = make(alpha, rng_seed=args.seed)
+        cfg = make(alpha)
     # only explicit constants are rejected; a preset's violations are warnings
     violations = validate_config(cfg, alpha)
     if violations and preset == "explicit" and not args.allow_unvalidated:
@@ -281,7 +281,6 @@ def _cmd_estimate(args, phi: Functional) -> tuple[dict, dict]:
     warnings = [f"admissibility: {v}" for v in violations]
 
     estimator = args.estimator or recommended_estimator(alpha)
-    # no rng: the composite seeds its split from cfg.rng_seed, the resolved seed
     res = run_estimator(estimator, h, phi, cfg)
     warnings.extend(res.warnings)
 

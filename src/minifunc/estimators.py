@@ -1,15 +1,15 @@
 """Sampling models, sample splitting, and the composite threshold estimator.
 
-The pipeline: draw a histogram (multinomial or poissonized), thin it into
-an estimation half and a selector half, then estimate each symbol's
-phi(p_i) with the bias-corrected plugin when the selector count clears
-2*C2*ln(n) and with the unbiased best-polynomial transform otherwise.
-That per-count rule is one object, _CompositeRule, built once per
-(phi, constants, n) by _composite_rule; a symbol's term depends on its two
-split counts and the rule alone.  Degree and threshold both scale with
-ln(n), so the constants C1, C2 carry all the tuning freedom;
-validate_config reports which admissibility inequalities a choice
-violates, as data rather than as errors.
+The pipeline: draw a histogram, then estimate each symbol's phi(p_i)
+from its count N.  The paper's composite thins N by a fair coin into an
+estimation count a and a selector count N - a, and takes the corrected
+plugin at a where N - a clears 2*C2*ln(n), the unbiased best-polynomial
+transform at a otherwise.  Here each term is its mean over the coin
+given N: the same expectation, and by Rao-Blackwell no more variance.
+That per-count rule is _CompositeRule, built once per (phi, constants,
+n) by _composite_rule.  Degree and threshold both scale with ln(n), so
+C1, C2 carry all the tuning freedom; validate_config reports which
+admissibility inequalities a choice violates, as data.
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ class SplitHistograms:
     def __post_init__(self):
         if self.est.k != self.sel.k:
             raise ConfigurationError("split halves must share the same alphabet size")
+        if (self.est.counts > np.iinfo(np.int64).max - self.sel.counts).any():
+            raise ConfigurationError("split halves must sum to counts below 2**63")
         if not 0 <= self.n_effective < math.inf:
             raise ConfigurationError(f"n_effective must be non-negative and finite, got {self.n_effective!r}")
 
@@ -124,7 +126,7 @@ class SplitHistograms:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Constants C1, C2 plus the correction order and a seed.
+    """Constants C1, C2 plus the correction order and a seed no estimator reads.
 
     Derived quantities, all functions of the per-half sample size n:
     degree L = floor(C1 ln n), expected-count threshold scale
@@ -285,57 +287,33 @@ def split_samples(h: Histogram, rng=None) -> SplitHistograms:
     tagged poissonized because their own totals are random, and carry that
     same rate scale as their n_nominal (6.5 for a 13-sample input).
     """
-    est_counts, sel_counts = _thin(h.counts, np.random.default_rng(rng))
+    est_counts = np.random.default_rng(rng).binomial(h.counts, 0.5)
+    sel_counts = h.counts - est_counts
     half = h.n_nominal / 2.0
     est = Histogram(counts=est_counts, n_nominal=half, model="poissonized")
     sel = Histogram(counts=sel_counts, n_nominal=half, model="poissonized")
     return SplitHistograms(est=est, sel=sel, n_effective=half)
 
 
-def _thin(counts, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Thin counts by a fair coin per sample: (est, sel), est ~ Binomial(counts, 1/2)."""
-    est = rng.binomial(counts, 0.5)
-    return est, counts - est
+def _fingerprint_sum(counts, values) -> float:
+    """The sum over symbols of values(count), values a function of an
+    array of counts.  A symbol's term depends only on its count, so the
+    sum is the math.fsum of F * values(count) over the distinct counts
+    (_fingerprint), where F symbols share a count.  A risk-lab rep sums
+    the same way, its terms gathered from a table of values."""
+    keys, mult = _fingerprint(counts)
+    return math.fsum((mult * values(keys)).tolist())
 
 
-def _fingerprint_sum(counts, branch, values) -> float:
-    """The sum over symbols of values[b](count), b the symbol's branch.
-
-    values holds one function of an array of counts per branch; branch is
-    each symbol's index into it, or None where every symbol takes
-    values[0].  A symbol's term depends only on its key B * count +
-    branch, B = len(values), so the sum is the math.fsum of F[key] *
-    values[b](count) over the keys present (_fingerprint), where F[key]
-    symbols share a key, each term found by _key_values.  A risk-lab rep
-    sums the same way, its terms gathered from a table of _key_values.
-    """
-    keys, mult = _fingerprint(counts, branch, len(values))
-    return math.fsum((mult * _key_values(keys, values)).tolist())
-
-
-def _fingerprint(counts, branch, B) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, F): the distinct keys B * count + branch of the symbols,
-    ascending, and how many symbols share each; branch None reads as 0.
-
-    While the largest key is below the number of symbols, F is read off
-    the sorted keys by one binary search per key value up to the largest;
-    past it the keys are grouped by np.unique, which costs O(k) whatever
-    the counts.  The binary searches are quicker where the largest key is
-    small: per risk-lab rep, uniform shannon, numpy 2.4 on a 2-core
-    AVX-512 Xeon, np.unique alone took 38 against 27 us (plugin) and 65
-    against 58 us (composite) at k = n = 1e4, and 256 against 156 us and
-    558 against 476 us at k = 92 103, n = 1e4.  (np.bincount would read F
-    straight off the keys, but where most counts are 0 its increments of
-    F[0] queue up: at k = 92 103, n = 1e4 it took 3.5 times as long as
-    the sort.)
-    """
-    if branch is None:
-        keys = counts.copy()
-    else:
-        # counts are non-negative int64, so as uint64 even 2 * count + 1 fits
-        keys = B * counts.view(np.uint64)
-        keys += branch
-    keys.sort()
+def _fingerprint(counts) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, F): the distinct counts, ascending, and how many symbols
+    share each.  While the largest count is below k, F is read off the
+    sorted counts by one binary search per value; else np.unique groups.
+    Per risk-lab rep (uniform shannon, numpy 2.4, a 2-core AVX-512 Xeon)
+    np.unique took 38 against 27 us at k = n = 1e4 and 256 against 156 us
+    at k = 92 103, n = 1e4; np.bincount, whose increments of F[0] queue up
+    where most counts are 0, took 3.5 times as long there as the sort."""
+    keys = np.sort(counts)
     top = int(keys[-1])
     if top < keys.size:
         edges = np.searchsorted(keys, np.arange(top + 2, dtype=keys.dtype))
@@ -345,15 +323,27 @@ def _fingerprint(counts, branch, B) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(keys, return_counts=True)
 
 
-def _key_values(keys, values) -> np.ndarray:
-    """values[b](count) at each key B * count + b, B = len(values); each
-    function sees the counts of its branch in the order of keys."""
-    counts, branch = np.divmod(keys, len(values))
-    terms = np.empty(keys.size)
-    for b, fn in enumerate(values):
-        at = branch == b
-        terms[at] = fn(counts[at])
-    return terms
+def _window(counts) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), floats: N/2 -+ (12 sqrt N + 20) clipped to [0, N] for each
+    count N.  The certificate: Hoeffding bounds the Binomial(N, 1/2) mass
+    outside by 2 exp(-2 (12 sqrt N)^2 / N) = 2 exp(-288)."""
+    N = np.asarray(counts, dtype=float)
+    half = 12.0 * np.sqrt(N) + 20.0
+    return np.maximum(np.ceil(N / 2.0 - half), 0.0), np.minimum(np.floor(N / 2.0 + half), N)
+
+
+def _half_binomial(counts) -> tuple[np.ndarray, np.ndarray]:
+    """(a, w): row i holds a = lo..hi, the _window of N = counts[i], and
+    w = C(N, a) 2^-N, padded to the longest row with a = hi, w = 0.  w is
+    the product from lo of C(N, a + 1) / C(N, a) = (N - a) / (a + 1) over
+    its sum, both run left to right, so no row depends on the others."""
+    lo, hi = (x[:, None] for x in _window(counts))
+    N = np.asarray(counts, dtype=float)[:, None]
+    a = lo + np.arange(float((hi - lo).max()) + 1.0)
+    step = np.where(a < hi, (N - a) / (a + 1.0), 0.0)
+    r = np.ones_like(a)
+    np.cumprod(step[:, :-1], axis=1, out=r[:, 1:])
+    return np.minimum(a, hi).astype(np.int64), r / np.cumsum(r, axis=1)[:, -1:]
 
 
 @dataclass(frozen=True)
@@ -383,14 +373,19 @@ _PLAN_CACHE: dict = {}
 # floats then take a few MB at a time
 _POLY_BLOCK = 2**14
 
+# _CompositeRule.values sums a window of fewer points exactly, in blocks
+# of about _WINDOW_CELLS points
+_WINDOW_POINTS = 2**12
+_WINDOW_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class _CompositeRule:
-    """The composite's per-count rule at one n_eff: a symbol whose selector
-    count reaches threshold takes plugin_values of its estimation count,
-    any other poly_values.  approx and clamp (the cached best approximation
-    on interval, phi's range there) are None where the construction is
-    degenerate (degree 0, or delta >= 1) and the plain plugin answers."""
+    """The composite's per-count rule at one n_eff: g(a, N - a) is
+    plugin_values(a) where N - a reaches threshold, else poly_values(a),
+    and values averages it over a fair coin's split of N.  approx and clamp
+    (the cached best approximation on interval, phi's range there) are
+    None where the construction is degenerate (degree 0, or delta >= 1)."""
 
     phi: Functional
     correction_order: int
@@ -402,16 +397,43 @@ class _CompositeRule:
     approx: ApproxResult | None
     clamp: tuple | None
 
-    def branch(self, sel_counts) -> np.ndarray:
-        """Each symbol's branch from its selector count: True (1) where the
-        count reaches threshold, else False (0).  The symbol's term is
-        branch_values[branch] at its estimation count."""
-        return sel_counts >= self.threshold
+    def values(self, counts) -> np.ndarray:
+        """The mean of g(a, N - a) over a ~ Binomial(N, 1/2), at each count N.
 
-    @property
-    def branch_values(self) -> tuple:
-        """The value functions of the estimation count, by branch: poly, plugin."""
-        return (self.poly_values, self.plugin_values)
+        A count whose _window spans _WINDOW_POINTS points or more, and whose
+        poly branch lies beyond it (N/2 - threshold >= 12 sqrt N), takes the
+        16-node Gauss-Hermite mean of plugin_values over Normal(N/2, N/4).
+        Every other count takes the exact sum over its window
+        (_half_binomial), in blocks of about _WINDOW_CELLS cells, g tabled
+        once per branch.  A count's value does not depend on the others."""
+        counts = np.asarray(counts)
+        lo, hi = _window(counts)
+        out = np.empty(counts.size)
+        big = (hi - lo >= _WINDOW_POINTS) & (counts / 2.0 - self.threshold >= 12.0 * np.sqrt(counts))
+        if big.any():
+            from numpy.polynomial.hermite import hermgauss
+
+            x, w = hermgauss(16)
+            half = counts[big, None] / 2.0
+            g = self.plugin_values((half + np.sqrt(half) * x).ravel()).reshape(-1, x.size)
+            out[big] = np.cumsum(g * (w / math.sqrt(math.pi)), axis=1)[:, -1]
+        rows = np.flatnonzero(~big)
+        N, lo, hi = counts[rows], lo[rows], hi[rows]
+        plugin = self.plugin_values(np.arange(hi.max(initial=0.0) + 1.0))
+        # the poly branch holds the a > N - threshold of a window
+        poly = self.poly_values(np.arange(hi.max(where=N - hi < self.threshold, initial=-1.0) + 1.0))
+        start = 0
+        while start < rows.size:
+            # each row is padded to the longest of its block
+            cells = np.arange(1.0, rows.size - start + 1.0) * np.maximum.accumulate((hi - lo + 1.0)[start:])
+            stop = start + max(1, int(np.searchsorted(cells, _WINDOW_CELLS, side="right")))
+            a, w = _half_binomial(N[start:stop])
+            g = plugin[a]
+            at = N[start:stop, None] - a < self.threshold
+            g[at] = poly[a[at]]
+            out[rows[start:stop]] = np.cumsum(w * g, axis=1)[:, -1]
+            start = stop
+        return out
 
     def plugin_values(self, counts) -> np.ndarray:
         """Bias-corrected plugin phi_bar(N / n_eff) at each count N."""
@@ -467,22 +489,22 @@ def _composite_rule(phi: Functional, cfg: EstimatorConfig, n_eff: float) -> _Com
 
 
 def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:
-    """Threshold estimator: plugin where the selector count clears 2*C2*ln n,
-    best-poly elsewhere.
+    """Threshold estimator, its fair-coin split averaged out: the sum over
+    symbols of _composite_rule(phi, cfg, n_eff).values at each count.
 
-    data is a Histogram (its counts thinned by _thin, drawing from rng or
-    else from cfg.rng_seed, so each half runs at half the nominal size) or
-    a pre-split SplitHistograms.  Each symbol's term is the value of
-    _composite_rule(phi, cfg, n_eff) at its two split counts.  At degree 0
-    (a "polynomial" that ignores the count), or when the truncation point
-    would reach 1, the construction is degenerate: before any split is
-    drawn, the plain plugin on the unsplit counts at 2 n_eff is returned
-    with a warning.
+    data is a Histogram, whose halves would run at n_eff = n_nominal / 2,
+    or a SplitHistograms, whose est + sel counts are used at n_effective.
+    rng is accepted and unused: no coin is drawn.  A symbol is reported in
+    the plugin branch where its selector count would reach the threshold
+    with probability at least 1/2, which is N >= 2 ceil(threshold) - 1.
+    At degree 0 (a "polynomial" that ignores the count), or when the
+    truncation point would reach 1, the construction is degenerate: the
+    plain plugin on the counts at 2 n_eff is returned with a warning.
     """
     if isinstance(data, SplitHistograms):
-        n_eff = data.n_effective
+        n_eff, counts = data.n_effective, data.est.counts + data.sel.counts
     elif isinstance(data, Histogram):
-        n_eff = data.n_nominal / 2.0
+        n_eff, counts = data.n_nominal / 2.0, data.counts
     else:
         raise ConfigurationError(
             f"composite_estimate needs a Histogram or SplitHistograms, got {type(data).__name__}"
@@ -493,42 +515,29 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
     if rule.approx is None:
         warning = (
             f"degree floor(C1 ln n_effective) = {rule.degree} and truncation point {rule.delta:g} "
-            f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the split construction is degenerate "
+            f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the composite construction is degenerate "
             "(the admissible constants' guarantee is asymptotic); "
-            "falling back to the plain plugin on the unsplit counts"
+            f"falling back to the plain plugin at n = {2.0 * n_eff:g}"
         )
-        counts = data.counts if isinstance(data, Histogram) else data.est.counts + data.sel.counts
-        value = _fingerprint_sum(counts, None, (_plugin_values(phi, 2.0 * n_eff),))
+        value = _fingerprint_sum(counts, _plugin_values(phi, 2.0 * n_eff))
         return CompositeResult(value, {"plugin": data.k, "poly": 0}, (warning,), *construction)
 
-    warnings: list[str] = []
-    if isinstance(data, Histogram):
-        if data.model == "multinomial":
-            warnings.append(
-                "multinomial input split in place: halves are not independent "
-                "Poisson, risk guarantees are approximate"
-            )
-        est, sel = _thin(data.counts, np.random.default_rng(cfg.rng_seed if rng is None else rng))
-    else:
-        est, sel = data.est.counts, data.sel.counts
-
+    warnings = ()
     if not rule.approx.converged:
-        warnings.append(
-            f"best-approximation search did not converge at degree {rule.degree}; using last iterate"
+        warnings = (
+            f"best-approximation search did not converge at degree {rule.degree}; using last iterate",
         )
-
-    branch = rule.branch(sel)
-    value = _fingerprint_sum(est, branch, rule.branch_values)
+    value = _fingerprint_sum(counts, rule.values)
     if not math.isfinite(value):
         raise NumericalError(f"composite estimate is not finite ({value!r}) at degree {rule.degree}")
-    n_plugin = int(branch.sum())
+    n_plugin = int(np.count_nonzero(counts >= 2 * math.ceil(rule.threshold) - 1))
     branches = {"plugin": n_plugin, "poly": data.k - n_plugin}
-    return CompositeResult(value, branches, tuple(warnings), *construction)
+    return CompositeResult(value, branches, warnings, *construction)
 
 
 def corrected_plugin_estimate(h: Histogram, phi: Functional, cfg: EstimatorConfig) -> float:
     """Sum of bias-corrected plugin values over all symbols, no splitting."""
-    return _fingerprint_sum(h.counts, None, (_corrected_values(phi, cfg, h.n_nominal),))
+    return _fingerprint_sum(h.counts, _corrected_values(phi, cfg, h.n_nominal))
 
 
 def _corrected_values(phi: Functional, cfg: EstimatorConfig, n):
@@ -542,7 +551,7 @@ def _corrected_values(phi: Functional, cfg: EstimatorConfig, n):
 
 def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
     """Uncorrected plugin: sum of phi at the empirical frequencies."""
-    return _fingerprint_sum(h.counts, None, (_plugin_values(phi, h.n_nominal),))
+    return _fingerprint_sum(h.counts, _plugin_values(phi, h.n_nominal))
 
 
 def _plugin_values(phi: Functional, n):
@@ -558,41 +567,34 @@ ESTIMATORS = ("plugin", "corrected", "composite")
 
 
 def _count_rule(name: str, phi: Functional, cfg: EstimatorConfig, n: int):
-    """(rule, values): how estimator name, one of ESTIMATORS, values each
-    symbol of a sample of n.
-
-    values holds one function of a count per branch.  rule is None where
-    every symbol takes values[0] of its count: the plugins, and the
-    composite where it falls back to the plain plugin.  Otherwise rule is
-    the composite's _CompositeRule at n / 2, the sample is split, and a
-    symbol takes values[rule.branch(selector count)] of its estimation
-    count.  Each estimate is the sum of its symbols' values, as
-    _fingerprint_sum(counts, branch, values) computes it.
-    """
+    """The function of a count that estimator name, one of ESTIMATORS, sums
+    over the symbols of a sample of n: its estimate is
+    _fingerprint_sum(counts, _count_rule(name, phi, cfg, n)).  The
+    composite's is _CompositeRule.values at n / 2, or the plain plugin's
+    where it falls back to that."""
     if name == "composite":
         rule = _composite_rule(phi, cfg, n / 2.0)
         if rule.approx is not None:
-            return rule, rule.branch_values
+            return rule.values
     elif name == "corrected":
-        return None, (_corrected_values(phi, cfg, n),)
-    return None, (_plugin_values(phi, n),)
+        return _corrected_values(phi, cfg, n)
+    return _plugin_values(phi, n)
 
 
-def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:
+def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig) -> CompositeResult:
     """Run the estimator called name (one of ESTIMATORS) on h.
 
-    composite returns composite_estimate's record, its split drawn from
-    rng.  The plugins ignore rng and report every symbol in the plugin
-    branch and None split fields.  corrected warns when more than half
-    the symbols have a frequency below its truncation point delta, where
-    each is floored at phi(delta); the plain plugin warns of nothing.
+    composite returns composite_estimate's record.  The plugins report
+    every symbol in the plugin branch and None split fields.  corrected
+    warns when more than half the symbols have a frequency below its
+    truncation point delta, where each is floored at phi(delta); the
+    plain plugin warns of nothing.
     """
     if name not in ESTIMATORS:
         raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
     if name == "composite":
-        return composite_estimate(h, phi, cfg, rng=rng)
-    _, values = _count_rule(name, phi, cfg, h.n_nominal)
-    value = _fingerprint_sum(h.counts, None, values)
+        return composite_estimate(h, phi, cfg)
+    value = _fingerprint_sum(h.counts, _count_rule(name, phi, cfg, h.n_nominal))
     warnings = ()
     if name == "corrected":
         delta = cfg.delta(h.n_nominal)

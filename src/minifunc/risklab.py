@@ -10,18 +10,17 @@ cell-then-rep order, serially or over at most one fork pool.  Each rep
 draws an exact sample of n from P, by a rule fixed by the cell: where
 n <= k, n symbols from a Walker alias table of P, counted (with no alias
 coins where the table keeps every symbol, as for uniform P); where n > k,
-numpy's multinomial histogram, which the composite splits with
-estimators._thin, as split_samples does.  A rep draws bare count
-arrays.  A symbol's term depends only on its key, its count (for the
-composite, 2 * estimation count + branch), so a rep's estimate is the sum
-estimators._fingerprint_sum would give: how many symbols share each key,
-times the estimator's value at that key, gathered from one table the
-cell fills once.  The estimates are byte-identical to run_estimator's on
-the same draw.  A cell's reps run in blocks of _BLOCK: block b draws
-from numpy's default_rng(SeedSequence((master_seed, n, k, estimator
-index, b))), rep after rep, so each rep's draw is fixed by (master_seed,
-n, k, estimator, rep), a longer run extends a shorter one, and results
-are reproducible bit-for-bit regardless of worker count.
+numpy's multinomial histogram.  A rep draws a bare count array, for
+every estimator.  A symbol's term depends only on its count, so a rep's
+estimate is the sum estimators._fingerprint_sum would give: how many
+symbols share each count, times the estimator's value at that count,
+gathered from one table the cell fills once.  The estimates are
+byte-identical to run_estimator's on the same draw.  A cell's reps run
+in blocks of _BLOCK: block b draws from numpy's
+default_rng(SeedSequence((master_seed, n, k, estimator index, b))), rep
+after rep, so each rep's draw is fixed by (master_seed, n, k, estimator,
+rep), a longer run extends a shorter one, and results are reproducible
+bit-for-bit regardless of worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, MinifuncError
-from .estimators import ESTIMATORS, _count_rule, _fingerprint, _key_values, _thin, tuned_config
+from .estimators import ESTIMATORS, _count_rule, _fingerprint, tuned_config
 from .functionals import Functional, additive_functional
 
 __all__ = [
@@ -222,31 +221,28 @@ def _alias_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(q), np.array(alias)
 
 
-def _sampler(P: np.ndarray, table, n: int, split: bool):
-    """The exact draw of one rep of a cell: rng -> its counts, or with split
-    its (estimation, selector) counts, as run_estimator would see them.
+def _sampler(P: np.ndarray, table, n: int):
+    """The exact draw of one rep of a cell: rng -> its counts, as
+    run_estimator would see them.
 
     Where n > k, numpy's multinomial histogram (k conditional binomials),
-    with split thinned by estimators._thin: the calls sample_histogram and
-    split_samples make on the same rng.  Where
-    n <= k, n symbols from P's alias table (q, alias), counted in
-    O(n + k); with split, the first Binomial(n, 1/2) symbols are the
-    estimation half and the rest the selector half, which has the law of
-    thinning each sample by a fair coin, since the coins are independent
-    of the symbols.  Where the table keeps every symbol (q = 1, checked
-    once per cell), every alias coin would keep j: the draw takes the
-    uniform symbols as they are and advances the rng past the n doubles
-    the coins would take.  The risk lab's PCG64 spends one 64-bit output
-    per double, so the split's binomial, the only later draw, sees the
-    same state and the counts are bit-identical to the coin path's.
+    the call sample_histogram makes on the same rng.  Where n <= k, n
+    symbols from P's alias table (q, alias), counted in O(n + k).  Where
+    the table keeps every symbol (q = 1, checked once per cell), every
+    alias coin would keep j: the draw takes the uniform symbols as they
+    are and advances the rng past the n doubles the coins would take.
+    The risk lab's PCG64 spends one 64-bit output per double, so the counts
+    and the 64-bit stream position after them are the coin path's.  The
+    advance also drops PCG64's buffered 32-bit half, which rng.integers
+    leaves set after an odd n: from there on a block's later reps draw
+    other symbols than the coin path would, all of them exact.
     """
     k = P.size
     keeps_all = table is not None and bool((table[0] == 1.0).all())
 
     def draw(rng):
         if n > k:
-            counts = rng.multinomial(n, P)
-            return _thin(counts, rng) if split else counts
+            return rng.multinomial(n, P)
         q, alias = table
         j = rng.integers(0, k, n)
         if keeps_all:
@@ -254,42 +250,30 @@ def _sampler(P: np.ndarray, table, n: int, split: bool):
             rng.bit_generator.advance(n)
         else:
             sym = np.where(rng.random(n) < q[j], j, alias[j])
-        if not split:
-            return np.bincount(sym, minlength=k)
-        m = rng.binomial(n, 0.5)
-        return np.bincount(sym[:m], minlength=k), np.bincount(sym[m:], minlength=k)
+        return np.bincount(sym, minlength=k)
 
     return draw
 
 
-class _KeyTable:
-    """table[key] = _key_values(key, values) for the keys 0, 1, ..., filled
-    on demand.
+def _tabled(values, limit: int):
+    """values through a table of the counts 0, 1, ...: the function maps
+    ascending counts to their terms with one gather, filling the table,
+    doubling it, up to the largest count asked for but never past limit;
+    larger counts go to values directly.  values gives a count the same
+    bits wherever it sits in the array, so an entry is run_estimator's."""
+    table = np.empty(0)
 
-    at() gives the terms of ascending keys B * count + branch, B =
-    len(values), from one gather: it fills the table, doubling it, up to
-    the largest key asked for, but never past limit; larger keys are
-    handed to _key_values directly.  values are the estimator's own
-    per-count functions, and numpy gives the same bits for a count
-    wherever it sits in the array, so a table entry is the value
-    run_estimator computes."""
-
-    def __init__(self, values, limit: int):
-        self.values = values
-        self.limit = limit
-        self.table = np.empty(0)
-
-    def at(self, keys: np.ndarray) -> np.ndarray:
-        """The term of each of keys, which are ascending."""
+    def at(keys: np.ndarray) -> np.ndarray:
+        nonlocal table
         top = int(keys[-1])
-        if top >= self.table.size:
-            if top > self.limit:
-                return _key_values(keys, self.values)
-            have = self.table.size
-            size = min(max(top + 1, 2 * have), self.limit + 1)
-            fresh = _key_values(np.arange(have, size), self.values)
-            self.table = np.concatenate([self.table, fresh])
-        return self.table[keys]
+        if top >= table.size:
+            if top > limit:
+                return values(keys)
+            size = min(max(top + 1, 2 * table.size), limit + 1)
+            table = np.concatenate([table, values(np.arange(table.size, size))])
+        return table[keys]
+
+    return at
 
 
 def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
@@ -300,28 +284,23 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
     any pool forks, so every rep only reads them.  Block b runs reps
     b * _BLOCK up to the next block or reps, one after another on
     numpy's default_rng(SeedSequence((master_seed, n, k, estimator index,
-    b))).  The rule's value functions become one _KeyTable over the keys
-    B * count + branch, limited to counts of min(n, k), which each process
-    fills as its reps need; a rep is then a draw of bare counts, its
-    _fingerprint, one gather from the table and one math.fsum."""
+    b))).  The rule's value function is _tabled over the counts up to
+    min(n, max(k, 2**16)), past k where a rep's counts are, in a table
+    each process fills as its reps need; a rep is then a draw of bare
+    counts, its _fingerprint, one gather from the table and one
+    math.fsum."""
     key = (master_seed, n, spec.k, ESTIMATORS.index(estimator))
-    rule, values = _count_rule(estimator, phi, cfg, n)
-    draw = _sampler(P, table, n, split=rule is not None)
-    B = len(values)
-    tabled = _KeyTable(values, B * min(n, spec.k) + B - 1)
+    draw = _sampler(P, table, n)
+    terms = _tabled(_count_rule(estimator, phi, cfg, n), min(n, max(spec.k, 2**16)))
 
     def run_block(b: int) -> list[float]:
         rng = np.random.default_rng(np.random.SeedSequence(key + (b,)))
         estimates = []
         for r in range(b * _BLOCK, min((b + 1) * _BLOCK, reps)):
-            if rule is None:
-                counts, branch = draw(rng), None
-            else:
-                counts, sel = draw(rng)
-                branch = rule.branch(sel)
+            counts = draw(rng)
             try:
-                keys, mult = _fingerprint(counts, branch, B)
-                estimates.append(math.fsum((mult * tabled.at(keys)).tolist()))
+                keys, mult = _fingerprint(counts)
+                estimates.append(math.fsum((mult * terms(keys)).tolist()))
             except MinifuncError as e:
                 raise type(e)(
                     f"estimator {estimator!r} failed at rep {r}: {e}"
@@ -425,16 +404,15 @@ def monte_carlo_risk(
     Each rep draws a fresh sample of n from the distribution and runs the
     named estimator ('plugin', 'corrected', or 'composite') with
     tuned_config(phi.alpha) constants.  Where n <= k the rep draws n
-    symbols from an alias table of P, and the composite's halves are the
-    first Binomial(n, 1/2) symbols and the rest; where n > k it draws a
-    multinomial histogram, which the composite splits in place.  The reps
-    run in blocks of 100, and block b draws from one stream seeded from
-    (master_seed, n, k, estimator index, b), so rep r's draw is fixed by
-    (master_seed, n, k, estimator, r), a longer run extends a shorter one
-    sample-for-sample, and the worker count never changes the output.  This is rate_sweep's simulation on a single
-    cell: with jobs > 1 the reps run in up to min(jobs, cpu count) forked
-    worker processes, and serially where fork is unavailable.  Estimator
-    failures are re-raised with the rep index.
+    symbols from an alias table of P; where n > k it draws a multinomial
+    histogram.  The reps run in blocks of 100, and block b draws from one
+    stream seeded from (master_seed, n, k, estimator index, b), so rep r's
+    draw is fixed by (master_seed, n, k, estimator, r), a longer run
+    extends a shorter one sample-for-sample, and the worker count never
+    changes the output.  This is rate_sweep's simulation on a single cell:
+    with jobs > 1 the reps run in up to min(jobs, cpu count) forked worker
+    processes, and serially where fork is unavailable.  Estimator failures
+    are re-raised with the rep index.
     """
     return _simulate([(spec, estimator, n)], phi, reps, master_seed, jobs)[0]
 

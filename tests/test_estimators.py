@@ -84,8 +84,8 @@ PLUGIN_SH_HALF = 0.35157359027997265
 MIXED_ESTIMATE = 2.0510073821790726
 
 # composite on _repeated_split() for Power(0.3) with C1=0.9, C2=0.5:
-# degree 4, 1167 plugin and 833 poly symbols
-POLY_BRANCH_ESTIMATE = 790.6945120780232
+# degree 4, 1756 plugin and 244 poly symbols
+POLY_BRANCH_ESTIMATE = 971.9080567103271
 
 
 def _pinned_delta_config(n: float, delta: float) -> EstimatorConfig:
@@ -511,6 +511,19 @@ def _plugin_symbol(N, n, phi, cfg):
     return float(bias_corrected_fn(phi, cfg.correction_order, cfg.delta(n), n, N / n))
 
 
+def _coin_mean(N, n, phi, cfg, approx, clamp):
+    # the composite's term at count N by exact enumeration of the fair
+    # coin's estimation count a: sum_a C(N, a) 2^-N times the plugin branch
+    # at a where N - a reaches the threshold, the poly branch at a otherwise
+    threshold = cfg.count_threshold(n)
+    return math.fsum(
+        math.comb(N, a) / 2**N * (
+            _plugin_symbol(a, n, phi, cfg) if N - a >= threshold else _poly_symbol(a, n, approx, clamp)
+        )
+        for a in range(N + 1)
+    )
+
+
 class TestPluginSymbol:
     def test_power2_full_count(self):
         cfg = _pinned_delta_config(100.0, 0.05)
@@ -537,8 +550,8 @@ def _mixed_split():
 
 
 def _repeated_split():
-    # k = 2000 symbols over a few dozen distinct counts: at threshold
-    # 2*0.5*ln(100) both branches hold hundreds of symbols per count
+    # k = 2000 symbols over a few dozen distinct counts est + sel: at
+    # threshold 2*0.5*ln(100) each count above 4 averages both branches
     rng = np.random.default_rng(12)
     est = Histogram(counts=rng.integers(0, 30, size=2000), n_nominal=100, model="poissonized")
     sel = Histogram(counts=rng.integers(0, 12, size=2000), n_nominal=100, model="poissonized")
@@ -547,25 +560,31 @@ def _repeated_split():
 
 class TestComposite:
     def test_all_plugin_when_selector_clears_threshold(self):
+        # counts of about 1000 at n_eff 1e4 (threshold 9.2): the selector
+        # half reaches the threshold but with probability below 2**-960
         cfg = EstimatorConfig(c1=0.9, c2=0.5)
-        est = Histogram(counts=np.array([3, 50, 1, 46]), n_nominal=100, model="poissonized")
-        sel = Histogram(counts=np.array([1000, 1000, 1000, 1000]), n_nominal=100, model="poissonized")
-        split = SplitHistograms(est=est, sel=sel, n_effective=100.0)
+        n = 1e4
+        est = Histogram(counts=np.array([3, 50, 1, 46]), n_nominal=n, model="poissonized")
+        sel = Histogram(counts=np.array([1000, 1000, 1000, 1000]), n_nominal=n, model="poissonized")
+        split = SplitHistograms(est=est, sel=sel, n_effective=n)
         res = composite_estimate(split, SH, cfg)
         assert res.branch_counts == {"plugin": 4, "poly": 0}
-        want = math.fsum(_plugin_symbol(int(N), 100.0, SH, cfg) for N in est.counts)
+        approx = remez_best_approx(SH.eval, cfg.degree(n), cfg.poly_interval(n))
+        clamp = range_on_interval(SH.eval, cfg.poly_interval(n))
+        want = math.fsum(_coin_mean(int(N), n, SH, cfg, approx, clamp) for N in est.counts + sel.counts)
         assert res.estimate == pytest.approx(want, rel=1e-14)
 
     def test_all_poly_when_selector_is_zero(self):
+        # every count is below the threshold 4.6, so the selector half is too
         cfg = EstimatorConfig(c1=0.9, c2=0.5)
-        est = Histogram(counts=np.array([0, 1, 2, 5]), n_nominal=100, model="poissonized")
+        est = Histogram(counts=np.array([0, 1, 2, 4]), n_nominal=100, model="poissonized")
         sel = Histogram(counts=np.zeros(4, dtype=np.int64), n_nominal=100, model="poissonized")
         split = SplitHistograms(est=est, sel=sel, n_effective=100.0)
         res = composite_estimate(split, SH, cfg)
         assert res.branch_counts == {"plugin": 0, "poly": 4}
         approx = remez_best_approx(SH.eval, cfg.degree(100.0), cfg.poly_interval(100.0))
         clamp = range_on_interval(SH.eval, cfg.poly_interval(100.0))
-        want = math.fsum(_poly_symbol(int(N), 100.0, approx, clamp) for N in est.counts)
+        want = math.fsum(_coin_mean(int(N), 100.0, SH, cfg, approx, clamp) for N in est.counts)
         assert res.estimate == pytest.approx(want, rel=1e-12)
 
     def test_mixed_branches_frozen_value(self):
@@ -579,7 +598,7 @@ class TestComposite:
 
     def test_poly_branch_frozen_value(self):
         res = composite_estimate(_repeated_split(), power_functional(0.3), EstimatorConfig(0.9, 0.5))
-        assert (res.degree, res.branch_counts) == (4, {"plugin": 1167, "poly": 833})
+        assert (res.degree, res.branch_counts) == (4, {"plugin": 1756, "poly": 244})
         assert res.estimate == POLY_BRANCH_ESTIMATE
 
     @pytest.mark.parametrize("phi", [SH, power_functional(0.5), power_functional(1.2)],
@@ -599,15 +618,13 @@ class TestComposite:
         assert rule.approx.sup_error == pytest.approx(5.42e-14, rel=1e-2, abs=0.0)
 
     def test_huge_poly_counts_give_a_finite_estimate(self):
-        # estimation counts past any the unscaled recurrence can carry at
-        # degree 31, without a numpy overflow warning (the suite makes them
-        # errors); both symbols take the poly branch and land in the clamp
-        est = Histogram(counts=np.array([10**12, 2**63 - 1]), n_nominal=1e15, model="poissonized")
-        sel = Histogram(counts=np.array([0, 0]), n_nominal=1e15, model="poissonized")
-        res = composite_estimate(SplitHistograms(est=est, sel=sel, n_effective=1e15), SH, tuned_config(1.0))
-        assert res.branch_counts == {"plugin": 0, "poly": 2}
-        lo, hi = estimators._composite_rule(SH, tuned_config(1.0), 1e15).clamp
-        assert 2.0 * lo <= res.estimate <= 2.0 * hi
+        # counts past any the unscaled recurrence can carry at degree 31,
+        # without a numpy overflow warning (the suite makes them errors);
+        # both values land in the clamp
+        rule = estimators._composite_rule(SH, tuned_config(1.0), 1e15)
+        values = rule.poly_values(np.array([10**12, 2**63 - 1]))
+        lo, hi = rule.clamp
+        assert ((lo <= values) & (values <= hi)).all()
 
     def test_nonfinite_estimate_raises(self, monkeypatch):
         monkeypatch.setattr(estimators._CompositeRule, "plugin_values",
@@ -636,12 +653,9 @@ class TestComposite:
             assert res.branch_counts["plugin"] > 0 and res.branch_counts["poly"] > 0
             approx = remez_best_approx(phi.eval, cfg.degree(100.0), cfg.poly_interval(100.0))
             clamp = range_on_interval(phi.eval, cfg.poly_interval(100.0))
-            terms = []
-            for N_est, N_sel in zip(split.est.counts, split.sel.counts):
-                if N_sel >= res.threshold:
-                    terms.append(_plugin_symbol(int(N_est), 100.0, phi, cfg))
-                else:
-                    terms.append(_poly_symbol(int(N_est), 100.0, approx, clamp))
+            counts = (split.est.counts + split.sel.counts).tolist()
+            term = {N: _coin_mean(N, 100.0, phi, cfg, approx, clamp) for N in set(counts)}
+            terms = [term[N] for N in counts]
         assert res.estimate == pytest.approx(math.fsum(terms), rel=1e-13)
 
     def test_permutation_invariance(self):
@@ -654,23 +668,25 @@ class TestComposite:
         split = SplitHistograms(est=est, sel=sel, n_effective=100.0)
         assert composite_estimate(split, phi, cfg).estimate == base
 
-    def test_multinomial_input_is_split_with_warning(self):
+    def test_multinomial_input_is_averaged_without_a_warning(self):
+        # no split is drawn, so the model does not enter the estimate
         cfg = tuned_config(1.0)
         h = sample_histogram(np.full(10, 0.1), 1000, rng=np.random.default_rng(4))
-        res = composite_estimate(h, SH, cfg, rng=np.random.default_rng(5))
-        assert any("multinomial" in w for w in res.warnings)
+        res = composite_estimate(h, SH, cfg)
+        assert res.warnings == ()
         assert res.n_effective == 500.0
         assert res.branch_counts["plugin"] + res.branch_counts["poly"] == 10
+        poissonized = Histogram(counts=h.counts, n_nominal=1000, model="poissonized")
+        assert composite_estimate(poissonized, SH, cfg) == res
 
     @pytest.mark.parametrize("model", ["multinomial", "poissonized"])
     @pytest.mark.parametrize("make_cfg", [tuned_config, default_config], ids=["mixed", "degree0"])
     def test_bare_split_is_split_samples(self, model, make_cfg):
-        # a Histogram's counts are thinned where they stand, with the same
-        # draws split_samples makes on the same Generator
+        # a pre-split pair is averaged on est + sel, its input's own counts
         zipf = 1.0 / np.arange(1.0, 501.0)
         h = sample_histogram(zipf / zipf.sum(), 2000, model=model, rng=np.random.default_rng(11))
         cfg = make_cfg(1.0)
-        bare = composite_estimate(h, SH, cfg, rng=np.random.default_rng(12))
+        bare = composite_estimate(h, SH, cfg)
         split = composite_estimate(split_samples(h, rng=np.random.default_rng(12)), SH, cfg)
         if make_cfg is tuned_config:
             assert min(bare.branch_counts.values()) > 0
@@ -683,7 +699,7 @@ class TestComposite:
     def test_tiny_n_degrades_to_plain_plugin(self):
         cfg = tuned_config(1.0)
         h = Histogram(counts=np.array([2, 1, 1]), n_nominal=4)
-        res = composite_estimate(h, SH, cfg, rng=np.random.default_rng(6))
+        res = composite_estimate(h, SH, cfg)
         assert any("plain plugin" in w for w in res.warnings)
         assert res.branch_counts == {"plugin": 3, "poly": 0}
         combined = Histogram(counts=h.counts, n_nominal=4, model="poissonized")
@@ -704,16 +720,17 @@ class TestComposite:
         )
 
     def test_fallback_draws_nothing(self):
-        # decided before the split: the Generator is not advanced, the
-        # multinomial input gets no split warning, and the answer is the
-        # input's own plugin
+        # the rng keyword is accepted and never drawn from, in the fallback
+        # or out of it; the fallback's answer is the input's own plugin
         h = Histogram(counts=np.array([2, 1, 1]), n_nominal=4)
         rng = np.random.default_rng(6)
         before = rng.bit_generator.state
         res = composite_estimate(h, SH, tuned_config(1.0), rng=rng)
-        assert rng.bit_generator.state == before
         assert len(res.warnings) == 1 and "plain plugin" in res.warnings[0]
         assert res.estimate == plain_plugin_estimate(h, SH)
+        mixed = composite_estimate(_REGISTRY_HISTOGRAMS[0], SH, tuned_config(1.0), rng=rng)
+        assert min(mixed.branch_counts.values()) > 0
+        assert rng.bit_generator.state == before
 
     def test_fallback_keeps_a_fractional_rate_scale(self):
         h = Histogram(counts=np.array([4, 9]), n_nominal=12.5, model="poissonized")
@@ -750,6 +767,97 @@ class TestComposite:
         res = composite_estimate(_mixed_split(), SH, tuned_config(1.0))
         assert isinstance(res, CompositeResult)
         assert res.poly_interval[0] == 0.0
+
+
+def _last_exact_count():
+    # the largest count whose window spans fewer than _WINDOW_POINTS points
+    N = np.arange(1, 40_000)
+    lo, hi = estimators._window(N)
+    return int(N[hi - lo < estimators._WINDOW_POINTS].max())
+
+
+class TestCoinAverage:
+    def test_values_are_the_mean_over_fair_coin_splits(self):
+        # threshold 4.6 at n_eff 100: counts 3 and 4 are all poly, the rest
+        # average both branches
+        rule = estimators._composite_rule(SH, tuned_config(1.0), 100.0)
+        rng = np.random.default_rng(7)
+        for N in (3, 4, 6, 9, 14, 40):
+            a = rng.binomial(N, 0.5, size=10**5)
+            g = np.where(N - a >= rule.threshold, rule.plugin_values(a), rule.poly_values(a))
+            se = g.std(ddof=1) / math.sqrt(g.size)
+            assert se > 0
+            assert abs(rule.values(np.array([N]))[0] - g.mean()) <= 3.0 * se
+
+    @pytest.mark.parametrize("N", [1, 2, 57, 4000, _last_exact_count()])
+    def test_window_weights_are_exact(self, N):
+        (a,), (w,) = estimators._half_binomial(np.array([N]))
+        lo, hi = estimators._window(np.array([N]))
+        assert (a[0], a[-1]) == (lo[0], hi[0]) and a.tolist() == list(range(a[0], a[-1] + 1))
+        # C(N, a) in exact integers, stepped along the window
+        exact, c, scale = [], math.comb(N, int(a[0])), 2**N
+        for x in a.tolist():
+            exact.append(c / scale)
+            c = c * (N - x) // (x + 1)
+        assert (np.abs(w - exact) <= 1e-13 * np.array(exact)).all()
+
+    @pytest.mark.parametrize("phi", [SH, power_functional(0.5), power_functional(1.2)],
+                             ids=["shannon", "power0.5", "power1.2"])
+    def test_quadrature_agrees_with_the_window_sum(self, phi, monkeypatch):
+        N = np.array([_last_exact_count() + 1])
+        rule = estimators._composite_rule(phi, tuned_config(phi.alpha), 1e5)
+        lo, hi = estimators._window(N)
+        assert hi - lo >= estimators._WINDOW_POINTS
+        quadrature = rule.values(N)
+        monkeypatch.setattr(estimators, "_WINDOW_POINTS", 2**20)
+        assert quadrature[0] == pytest.approx(rule.values(N)[0], rel=1e-13, abs=0.0)
+
+    def test_values_do_not_depend_on_the_other_counts(self, monkeypatch):
+        # as the risk lab's tables need: one count's value, bit for bit,
+        # alone, among others, and in blocks of one row
+        rule = estimators._composite_rule(SH, tuned_config(1.0), 1e4)
+        counts = np.array([250, 0, 3, 17, 4000, _last_exact_count(), 10**6, 5, 3])
+        whole = rule.values(counts)
+        alone = np.concatenate([rule.values(counts[i : i + 1]) for i in range(counts.size)])
+        monkeypatch.setattr(estimators, "_WINDOW_CELLS", 1)
+        assert whole.tobytes() == alone.tobytes() == rule.values(counts).tobytes()
+
+    def test_variance_falls_tenfold_at_uniform_k_equals_n(self):
+        # the split estimator drawn by a test-local coin on the same counts
+        k = n = 1000
+        P = np.full(k, 1.0 / k)
+        cfg = tuned_config(1.0)
+        rule = estimators._composite_rule(SH, cfg, n / 2.0)
+        rng = np.random.default_rng(5)
+        averaged, split = [], []
+        for _ in range(120):
+            h = sample_histogram(P, n, rng=rng)
+            averaged.append(composite_estimate(h, SH, cfg).estimate)
+            est = rng.binomial(h.counts, 0.5)
+            terms = np.where(h.counts - est >= rule.threshold, rule.plugin_values(est), rule.poly_values(est))
+            split.append(math.fsum(terms.tolist()))
+        assert np.var(split) >= 10.0 * np.var(averaged)
+
+    @pytest.mark.parametrize("threshold", [0.5, 1.0, 2.5, 4.6, 7.0, 13.1])
+    def test_branch_rule_matches_exact_enumeration(self, threshold):
+        # plugin-branch where the selector count B ~ Binomial(N, 1/2)
+        # reaches the threshold with probability at least 1/2
+        n = 1e4
+        cfg = EstimatorConfig(c1=0.9, c2=threshold / (2.0 * math.log(n)))
+        h = Histogram(counts=np.arange(120), n_nominal=2 * n, model="poissonized")
+        res = composite_estimate(h, SH, cfg)
+        plugin = sum(
+            2 * sum(math.comb(N, b) for b in range(N + 1) if b >= res.threshold) >= 2**N
+            for N in range(120)
+        )
+        assert res.branch_counts == {"plugin": plugin, "poly": 120 - plugin}
+
+    def test_largest_counts_take_the_plugin_branch(self):
+        # 2**63 - 1 is averaged by quadrature, its poly branch out of reach
+        h = Histogram(counts=np.array([10**12, 2**63 - 1]), n_nominal=2e15, model="poissonized")
+        res = composite_estimate(h, SH, tuned_config(1.0))
+        assert res.branch_counts == {"plugin": 2, "poly": 0}
+        assert math.isfinite(res.estimate)
 
 
 # a multinomial histogram, and a poissonized one whose count of 10**12
@@ -820,19 +928,18 @@ class TestRunEstimator:
         direct = {
             "plugin": lambda: plain_plugin_estimate(h, SH),
             "corrected": lambda: corrected_plugin_estimate(h, SH, cfg),
-            "composite": lambda: composite_estimate(h, SH, cfg, rng=np.random.default_rng(5)).estimate,
+            "composite": lambda: composite_estimate(h, SH, cfg).estimate,
         }
-        res = run_estimator(name, h, SH, cfg, np.random.default_rng(5))
+        res = run_estimator(name, h, SH, cfg)
         assert isinstance(res, CompositeResult)
         assert res.estimate == direct[name]()
 
     def test_composite_record_is_composite_estimate(self):
         h = _REGISTRY_HISTOGRAMS[0]
-        cfg = tuned_config(1.0, rng_seed=4)
-        want = composite_estimate(h, SH, cfg, rng=np.random.default_rng(4))
-        assert run_estimator("composite", h, SH, cfg, np.random.default_rng(4)) == want
-        # without an rng the split is seeded from cfg.rng_seed
-        assert run_estimator("composite", h, SH, cfg) == want
+        want = composite_estimate(h, SH, tuned_config(1.0))
+        assert run_estimator("composite", h, SH, tuned_config(1.0)) == want
+        # no estimator reads the config's seed
+        assert run_estimator("composite", h, SH, tuned_config(1.0, rng_seed=4)) == want
 
     @pytest.mark.parametrize("name", ["plugin", "corrected"])
     def test_plugins_leave_split_fields_none(self, name):
@@ -866,34 +973,24 @@ class TestRunEstimator:
             run_estimator("oracle", _REGISTRY_HISTOGRAMS[0], SH, tuned_config(1.0))
 
 
-# values with short dyadic significands, so multiplicity x value is exact and
-# the fingerprint sum must equal the per-symbol sum bit for bit
-_DYADIC_VALUES = (lambda c: c / 4.0 + 0.5, lambda c: 100.0 - c / 8.0)
+def _dyadic_values(c):
+    # short dyadic significands, so multiplicity x value is exact and the
+    # fingerprint sum must equal the per-symbol sum bit for bit
+    return c / 4.0 + 0.5
 
 
 class TestFingerprintSum:
     K = 50
 
-    @pytest.mark.parametrize("B", [1, 2])
     @pytest.mark.parametrize(
-        "top", [K - 1, K, None], ids=["just-below-k", "at-k", "far-above-k"]
+        "top", [K - 1, K, 2**63 - 1], ids=["just-below-k", "at-k", "far-above-k"]
     )
-    def test_equals_the_per_symbol_sum_either_side_of_the_grouping_switch(self, B, top):
-        # the largest key B * count + branch is top; far above k it is the
-        # largest key an int64 count can give, 2**64 - 1 at B = 2
-        rng = np.random.default_rng(B)
-        counts = rng.integers(0, (self.K - 1) // B, self.K)
-        branch = rng.integers(0, B, self.K) if B == 2 else np.zeros(self.K, dtype=np.int64)
-        if top is None:
-            counts[7], branch[7] = 2**63 - 1, B - 1
-        else:
-            counts[7], branch[7] = divmod(top, B)
-        values = _DYADIC_VALUES[:B]
-        want = math.fsum(
-            float(values[b](np.array([c]))[0]) for c, b in zip(counts.tolist(), branch.tolist())
-        )
-        got = estimators._fingerprint_sum(counts, branch == 1 if B == 2 else None, values)
-        assert got == want
+    def test_equals_the_per_symbol_sum_either_side_of_the_grouping_switch(self, top):
+        # the largest count is top; far above k it is the largest int64
+        counts = np.random.default_rng(1).integers(0, self.K - 1, self.K)
+        counts[7] = top
+        want = math.fsum(float(_dyadic_values(np.array([c]))[0]) for c in counts.tolist())
+        assert estimators._fingerprint_sum(counts, _dyadic_values) == want
 
 
 class TestCorrectionOrderIdentity:
@@ -919,22 +1016,29 @@ class TestCorrectionOrderIdentity:
         cfg4 = EstimatorConfig(c1=0.9, c2=0.5, correction_order=4)
         counts = np.array([120, 260, 45, 75])
         est = Histogram(counts=counts, n_nominal=500, model="poissonized")
-        sel = Histogram(counts=np.full(4, 10_000), n_nominal=500, model="poissonized")
-        split = SplitHistograms(est=est, sel=sel, n_effective=n)
+        split = SplitHistograms(est=est, sel=est, n_effective=n)
         diff = composite_estimate(split, phi, cfg4).estimate - composite_estimate(split, phi, cfg2).estimate
-        p_hat = counts / n
+        # the poly branch does not depend on the order, so the difference is
+        # the identity's mean over the plugin branch's estimation counts a
         delta = cfg2.delta(n)
-        t3 = truncated_deriv(phi, 3, delta, p_hat)
-        t4 = truncated_deriv(phi, 4, delta, p_hat)
-        want = math.fsum(p_hat / (3 * n**2) * t3 + 5 * p_hat / (24 * n**3) * t4 + p_hat**2 / (8 * n**2) * t4)
-        assert diff == pytest.approx(want, rel=1e-8)
+        want = []
+        for N in (2 * counts).tolist():
+            a = np.arange(N + 1)
+            p_hat = a[N - a >= cfg2.count_threshold(n)] / n
+            t3 = truncated_deriv(phi, 3, delta, p_hat)
+            t4 = truncated_deriv(phi, 4, delta, p_hat)
+            terms = p_hat / (3 * n**2) * t3 + 5 * p_hat / (24 * n**3) * t4 + p_hat**2 / (8 * n**2) * t4
+            want += [math.comb(N, int(b)) / 2**N * t for b, t in zip(a, terms.tolist())]
+        assert diff == pytest.approx(math.fsum(want), rel=1e-8)
 
 
 class TestPoissonizationSanity:
     @pytest.mark.parametrize("dist", ["uniform", "zipf"])
-    def test_composite_mse_close_across_models(self, dist):
+    def test_composite_bias_close_across_models(self, dist):
         # same estimator, same n: the poissonized and multinomial models
-        # should give MSEs within a factor of 4 of each other
+        # give biases within 3 standard errors of each other.  (Their MSEs
+        # differ by far more: a fixed total removes most of the averaged
+        # composite's variance.)
         k, n, reps = 100, 2000, 1500
         if dist == "uniform":
             P = np.full(k, 1.0 / k)
@@ -943,13 +1047,13 @@ class TestPoissonizationSanity:
             P /= P.sum()
         truth = additive_functional(P, SH)
         cfg = tuned_config(1.0)
-        mses = {}
+        errs = {}
         for model, seed in (("multinomial", 42), ("poissonized", 43)):
             rng = np.random.default_rng(seed)
-            errs = np.empty(reps)
-            for r in range(reps):
-                h = sample_histogram(P, n, model=model, rng=rng)
-                errs[r] = composite_estimate(h, SH, cfg, rng=rng).estimate - truth
-            mses[model] = float(np.mean(errs**2))
-        ratio = mses["poissonized"] / mses["multinomial"]
-        assert max(ratio, 1.0 / ratio) <= 4.0
+            errs[model] = np.array([
+                composite_estimate(sample_histogram(P, n, model=model, rng=rng), SH, cfg).estimate - truth
+                for _ in range(reps)
+            ])
+        gap = errs["poissonized"].mean() - errs["multinomial"].mean()
+        se = math.sqrt(sum(e.var(ddof=1) / reps for e in errs.values()))
+        assert abs(gap) <= 3.0 * se

@@ -137,3 +137,22 @@ def test_benchmark_risk_sweep_passes_its_check(bench_argvs, capsys):
         assert main(argv) == 0, (argv, capsys.readouterr().err)
         csvs.append(Path(argv[argv.index("--out") + 1]).read_bytes())
     assert checks.check_sweep(*csvs) == []
+
+
+def test_benchmark_estimate_bulk_passes_its_checks(tmp_path, capsys, monkeypatch):
+    # the checks perfbench/run.py applies to each estimate-bulk output, on
+    # inputs at the benchmark's own scale: degree, threshold and branch
+    # counts, a composite error at most half the plugin's, and the samples
+    # file and its histogram giving the same result
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = _perfbench_module("gen")
+    inputs = gen.generate(7, str(tmp_path / "inputs"), gen.BULK)
+    bulk = _perfbench_module("run").EstimateBulk(str(tmp_path), 7, inputs)
+    ops = []
+    for argv in bulk.argvs():
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        op = {"argv": argv, "doc": json.loads(capsys.readouterr().out), "problems": []}
+        assert bulk.check_op(op) == [], argv
+        ops.append(op)
+    bulk.check_jointly({"ops": ops})
+    assert [op["problems"] for op in ops] == [[]] * len(ops)
