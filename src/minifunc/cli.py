@@ -43,18 +43,10 @@ from .estimators import (
     validate_config,
 )
 from .functionals import Functional, check_divergence_speed, power_functional, shannon_functional
-from .lowerbounds import (
-    canonical_two_point_pair,
-    composite_lower_bound,
-    divergence,
-    fitted_bound_constants,
-    hellinger_le_cam_bound,
-    le_cam_bound,
-    moment_matched_pair,
-    tilted_pair,
-)
 from .polyapprox import _check_converged, remez_best_approx
-from .risklab import rate_sweep
+
+# lowerbounds and risklab are imported inside the commands that call them,
+# so every other command runs without loading them
 
 __all__ = ["main", "parse_phi", "read_counts", "schema_path"]
 
@@ -334,6 +326,15 @@ def _cmd_check_speed(args, phi: Functional) -> tuple[dict, dict]:
 
 
 def _cmd_lower_bound(args, phi: Functional) -> tuple[dict, dict]:
+    from .lowerbounds import (
+        canonical_two_point_pair,
+        composite_lower_bound,
+        divergence,
+        fitted_bound_constants,
+        hellinger_le_cam_bound,
+        le_cam_bound,
+    )
+
     params = {
         "k": args.k,
         "n": args.n,
@@ -388,6 +389,8 @@ def _cmd_lower_bound(args, phi: Functional) -> tuple[dict, dict]:
 
 
 def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
+    from .lowerbounds import moment_matched_pair, tilted_pair
+
     if args.gamma is not None:
         pair = tilted_pair(phi, args.L, args.gamma, args.gamma)
         interval = None
@@ -414,6 +417,8 @@ def _cmd_priors(args, phi: Functional) -> tuple[dict, dict]:
 
 
 def _cmd_risk_sweep(args, phi: Functional) -> tuple[dict, dict]:
+    from .risklab import rate_sweep
+
     n_grid = _parse_int_list(args.n_grid, "--n-grid")
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     _write_out(args.out, None)  # before any rep runs

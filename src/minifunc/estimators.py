@@ -588,10 +588,12 @@ def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig
     every symbol in the plugin branch and None split fields.  corrected
     warns when more than half the symbols have a frequency below its
     truncation point delta, where each is floored at phi(delta); the
-    plain plugin warns of nothing.
+    plain plugin warns of nothing.  Every estimator rejects n_nominal 0.
     """
     if name not in ESTIMATORS:
         raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
+    if not h.n_nominal > 0:
+        raise ConfigurationError(f"sample size n must be positive, got {h.n_nominal!r}")
     if name == "composite":
         return composite_estimate(h, phi, cfg)
     value = _fingerprint_sum(h.counts, _count_rule(name, phi, cfg, h.n_nominal))

@@ -154,8 +154,8 @@ class TestParsePhi:
         def no_work(*args, **kwargs):
             raise AssertionError("a command ran with a rejected --phi")
 
-        for name in ("read_counts", "remez_best_approx", "rate_sweep"):
-            monkeypatch.setattr(f"minifunc.cli.{name}", no_work)
+        for name in ("cli.read_counts", "cli.remez_best_approx", "risklab.rate_sweep"):
+            monkeypatch.setattr(f"minifunc.{name}", no_work)
         commands = [
             ["estimate", "--input", uniform_file],
             ["approx", "--L", "3"],
@@ -655,12 +655,13 @@ class TestEstimateCommand:
         cfg = default_config(1.0, rng_seed=0)
         assert doc["estimate"] == corrected_plugin_estimate(h, shannon_functional(), cfg)
 
-    def test_corrected_on_an_empty_sample_one_error_line(self, tmp_path):
+    @pytest.mark.parametrize("estimator", ["plugin", "corrected", "composite"])
+    def test_empty_sample_one_error_line(self, tmp_path, estimator):
         # a child process, so that a numpy warning would reach its stderr
         path = tmp_path / "zeros.csv"
         path.write_text("symbol,count\n0,0\n1,0\n")
         proc = _run_module("estimate", "--phi", "shannon", "--input", str(path),
-                           "--estimator", "corrected")
+                           "--estimator", estimator)
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: sample size n must be positive, got 0"]
@@ -1190,7 +1191,7 @@ class TestRiskSweepCommand:
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was checked")
 
-        monkeypatch.setattr("minifunc.cli.rate_sweep", no_sweep)
+        monkeypatch.setattr("minifunc.risklab.rate_sweep", no_sweep)
         for out_path in (str(tmp_path / "missing" / "sweep.csv"), str(tmp_path)):
             code, out, err = run_cli(self._argv(out_path), capsys)
             assert (code, out) == (3, "")
@@ -1355,11 +1356,16 @@ class TestOutOfMemory:
 
 
 # Run in a fresh interpreter so that modules pytest or other tests loaded do
-# not count; prints the exit code, every scipy module loaded and whether
-# numpy.ma (14-23 ms of import, pulled in by np.unique or np.median) was.
+# not count; prints the exit code, the minifunc modules loaded and whether
+# numpy was after a bare `import minifunc`, the minifunc modules loaded at
+# the end, every scipy module loaded and whether numpy.ma (14-23 ms of
+# import, pulled in by np.unique or np.median) was.
 _FOOTPRINT_CHILD = """
 import contextlib, io, json, sys
+def minifunc_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "minifunc")
 import minifunc
+bare = {"minifunc": minifunc_modules(), "numpy": "numpy" in sys.modules}
 from minifunc.cli import main
 argv = json.loads(sys.argv[1])
 code = 0
@@ -1367,8 +1373,16 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"code": code, "scipy": scipy, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"code": code, "import": bare, "minifunc": minifunc_modules(), "scipy": scipy,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
+
+# the minifunc modules that importing the CLI loads, and the further ones
+# that a command imports when it runs
+_CLI_MODULES = ["minifunc", "minifunc.cli", "minifunc.errors", "minifunc.estimators",
+                "minifunc.functionals", "minifunc.polyapprox"]
+_COMMAND_MODULES = {"lower-bound": ["minifunc.lowerbounds"], "priors": ["minifunc.lowerbounds"],
+                    "risk-sweep": ["minifunc.risklab"]}
 
 
 def _child_env():
@@ -1425,6 +1439,10 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["code"] == 0
+        # a bare import loads no numpy; each command loads only its own modules
+        assert result["import"] == {"minifunc": ["minifunc", "minifunc.errors"], "numpy": False}
+        command = argv[0] if argv else None
+        assert result["minifunc"] == sorted(_CLI_MODULES + _COMMAND_MODULES.get(command, []))
         assert result["scipy"] == []
         assert result["numpy.ma"] is False
 

@@ -20,14 +20,39 @@ from minifunc.cli import build_parser, main
 MODULES = sorted(m.name for m in pkgutil.iter_modules(minifunc.__path__))
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize(
+    "name", ["minifunc", *(f"minifunc.{m}" for m in MODULES)], ids=lambda name: name.rpartition(".")[2]
+)
 def test_all_names_resolve(name):
     # __all__ is edited by hand whenever a public name goes
-    module = importlib.import_module(f"minifunc.{name}")
+    module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
     namespace: dict = {}
-    exec(f"from minifunc.{name} import *", namespace)
+    exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_package_names_are_their_modules_objects():
+    # the package loads each name on first use from the module named in its table
+    owners = {name: "errors" for name in minifunc.errors.__all__}
+    owners.update(minifunc._OWNER)
+    assert sorted(minifunc.__all__) == sorted(owners)
+    for name, owner in owners.items():
+        module = importlib.import_module(f"minifunc.{owner}")
+        assert name in module.__all__
+        assert getattr(minifunc, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+    assert set(minifunc.__all__) <= set(dir(minifunc))
+    with pytest.raises(AttributeError, match="has no attribute 'not_a_name'"):
+        minifunc.not_a_name
+    with pytest.raises(ImportError):
+        exec("from minifunc import not_a_name", {})
+    # after a bare import, a submodule is still an attribute of the package
+    src = str(Path(minifunc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = "import minifunc; print(minifunc.risklab.rate_sweep.__module__)"
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "minifunc.risklab\n", proc.stderr
 
 
 def test_readme_examples_run(tmp_path):
