@@ -20,6 +20,12 @@ from minifunc.cli import build_parser, main
 MODULES = sorted(m.name for m in pkgutil.iter_modules(minifunc.__path__))
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this checkout's minifunc."""
+    src = str(Path(minifunc.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize(
     "name", ["minifunc", *(f"minifunc.{m}" for m in MODULES)], ids=lambda name: name.rpartition(".")[2]
 )
@@ -48,10 +54,9 @@ def test_package_names_are_their_modules_objects():
     with pytest.raises(ImportError):
         exec("from minifunc import not_a_name", {})
     # after a bare import, a submodule is still an attribute of the package
-    src = str(Path(minifunc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = "import minifunc; print(minifunc.risklab.rate_sweep.__module__)"
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", child], env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.stdout == "minifunc.risklab\n", proc.stderr
 
 
@@ -59,10 +64,8 @@ def test_readme_examples_run(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     # the Python blocks run in order, as one script, in a fresh interpreter
     script = "".join(re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S))
-    src = str(Path(minifunc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script], cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
