@@ -75,7 +75,8 @@ def divergence(P, Q, kind: str) -> float:
             f"symbol {int(bad[0])} has positive mass under P but zero under Q"
         )
     mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    # KL >= 0 (Gibbs); for P ~ Q the sum rounds to about -1e-18
+    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
 
 
 @dataclass(frozen=True)
