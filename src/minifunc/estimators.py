@@ -7,7 +7,9 @@ plugin at a where N - a clears 2*C2*ln(n), the unbiased best-polynomial
 transform at a otherwise.  Here each term is its mean over the coin
 given N: the same expectation, and by Rao-Blackwell no more variance.
 That per-count rule is _CompositeRule, built once per (phi, constants,
-n) by _composite_rule.  Degree and threshold both scale with ln(n), so
+n) by _composite_rule.  Every estimator, here, in the CLI or in a
+risk-lab rep, is the _fingerprint_sum of one _count_rule, which rejects
+an empty sample.  Degree and threshold both scale with ln(n), so
 C1, C2 carry all the tuning freedom; validate_config reports which
 admissibility inequalities a choice violates, as data.
 """
@@ -299,8 +301,9 @@ def _fingerprint_sum(counts, values) -> float:
     """The sum over symbols of values(count), values a function of an
     array of counts.  A symbol's term depends only on its count, so the
     sum is the math.fsum of F * values(count) over the distinct counts
-    (_fingerprint), where F symbols share a count.  A risk-lab rep sums
-    the same way, its terms gathered from a table of values."""
+    (_fingerprint), where F symbols share a count.  Every estimate is
+    this sum of a _count_rule; a risk-lab rep passes values that gather
+    the rule's terms from a table."""
     keys, mult = _fingerprint(counts)
     return math.fsum((mult * values(keys)).tolist())
 
@@ -490,36 +493,38 @@ def _composite_rule(phi: Functional, cfg: EstimatorConfig, n_eff: float) -> _Com
 
 def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) -> CompositeResult:
     """Threshold estimator, its fair-coin split averaged out: the sum over
-    symbols of _composite_rule(phi, cfg, n_eff).values at each count.
+    symbols of _count_rule("composite", phi, cfg, n) at each count.
 
-    data is a Histogram, whose halves would run at n_eff = n_nominal / 2,
-    or a SplitHistograms, whose est + sel counts are used at n_effective.
-    rng is accepted and unused: no coin is drawn.  A symbol is reported in
-    the plugin branch where its selector count would reach the threshold
-    with probability at least 1/2, which is N >= 2 ceil(threshold) - 1.
-    At degree 0 (a "polynomial" that ignores the count), or when the
-    truncation point would reach 1, the construction is degenerate: the
-    plain plugin on the counts at 2 n_eff is returned with a warning.
+    data is a Histogram, whose n is n_nominal, or a SplitHistograms, whose
+    est + sel counts are used at n = 2 n_effective; halves run at n_eff =
+    n / 2.  rng is accepted and unused: no coin is drawn.  A symbol is
+    reported in the plugin branch where its selector count would reach the
+    threshold with probability at least 1/2, which is N >= 2
+    ceil(threshold) - 1.  At degree 0 (a "polynomial" that ignores the
+    count), or when the truncation point would reach 1, the construction
+    is degenerate: the plain plugin at n is returned with a warning.
     """
     if isinstance(data, SplitHistograms):
-        n_eff, counts = data.n_effective, data.est.counts + data.sel.counts
+        n, counts = 2.0 * data.n_effective, data.est.counts + data.sel.counts
     elif isinstance(data, Histogram):
-        n_eff, counts = data.n_nominal / 2.0, data.counts
+        n, counts = data.n_nominal, data.counts
     else:
         raise ConfigurationError(
             f"composite_estimate needs a Histogram or SplitHistograms, got {type(data).__name__}"
         )
+    values = _count_rule("composite", phi, cfg, n)
+    n_eff = n / 2.0
     rule = _composite_rule(phi, cfg, n_eff)
     construction = (n_eff, rule.degree, rule.threshold, rule.interval)
+    value = _fingerprint_sum(counts, values)
 
     if rule.approx is None:
         warning = (
             f"degree floor(C1 ln n_effective) = {rule.degree} and truncation point {rule.delta:g} "
             f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the composite construction is degenerate "
             "(the admissible constants' guarantee is asymptotic); "
-            f"falling back to the plain plugin at n = {2.0 * n_eff:g}"
+            f"falling back to the plain plugin at n = {n:g}"
         )
-        value = _fingerprint_sum(counts, _plugin_values(phi, 2.0 * n_eff))
         return CompositeResult(value, {"plugin": data.k, "poly": 0}, (warning,), *construction)
 
     warnings = ()
@@ -527,7 +532,6 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
         warnings = (
             f"best-approximation search did not converge at degree {rule.degree}; using last iterate",
         )
-    value = _fingerprint_sum(counts, rule.values)
     if not math.isfinite(value):
         raise NumericalError(f"composite estimate is not finite ({value!r}) at degree {rule.degree}")
     n_plugin = int(np.count_nonzero(counts >= 2 * math.ceil(rule.threshold) - 1))
@@ -537,28 +541,12 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
 
 def corrected_plugin_estimate(h: Histogram, phi: Functional, cfg: EstimatorConfig) -> float:
     """Sum of bias-corrected plugin values over all symbols, no splitting."""
-    return _fingerprint_sum(h.counts, _corrected_values(phi, cfg, h.n_nominal))
-
-
-def _corrected_values(phi: Functional, cfg: EstimatorConfig, n):
-    """The corrected plugin's value bias_corrected_fn(N / n) as a function of
-    the count N.  n is checked here, before any count is divided by it."""
-    if not n > 0:
-        raise ConfigurationError(f"sample size n must be positive, got {n!r}")
-    delta = cfg.delta(n)
-    return lambda c: bias_corrected_fn(phi, cfg.correction_order, delta, n, c / n)
+    return _fingerprint_sum(h.counts, _count_rule("corrected", phi, cfg, h.n_nominal))
 
 
 def plain_plugin_estimate(h: Histogram, phi: Functional) -> float:
     """Uncorrected plugin: sum of phi at the empirical frequencies."""
-    return _fingerprint_sum(h.counts, _plugin_values(phi, h.n_nominal))
-
-
-def _plugin_values(phi: Functional, n):
-    """The plain plugin's value phi(N / n) as a function of the count N; an
-    empty sample (n = 0, every count 0) is read at n = 1."""
-    n = n if n > 0 else 1
-    return lambda c: phi.eval(c / n)
+    return _fingerprint_sum(h.counts, _count_rule("plugin", phi, None, h.n_nominal))
 
 
 # registry order is part of the seeding contract: the estimator's index
@@ -566,19 +554,25 @@ def _plugin_values(phi: Functional, n):
 ESTIMATORS = ("plugin", "corrected", "composite")
 
 
-def _count_rule(name: str, phi: Functional, cfg: EstimatorConfig, n: int):
+def _count_rule(name: str, phi: Functional, cfg: EstimatorConfig | None, n):
     """The function of a count that estimator name, one of ESTIMATORS, sums
     over the symbols of a sample of n: its estimate is
-    _fingerprint_sum(counts, _count_rule(name, phi, cfg, n)).  The
-    composite's is _CompositeRule.values at n / 2, or the plain plugin's
-    where it falls back to that."""
+    _fingerprint_sum(counts, _count_rule(name, phi, cfg, n)).  The plain
+    plugin's is phi(N / n), the corrected plugin's bias_corrected_fn(N / n),
+    and the composite's _CompositeRule.values at n / 2, or the plain
+    plugin's where it falls back to that.  An empty sample (n <= 0) is
+    rejected before any count is divided by n; the plain plugin reads no
+    cfg, which may then be None."""
+    if not n > 0:
+        raise ConfigurationError(f"sample size n must be positive, got {n!r}")
     if name == "composite":
         rule = _composite_rule(phi, cfg, n / 2.0)
         if rule.approx is not None:
             return rule.values
     elif name == "corrected":
-        return _corrected_values(phi, cfg, n)
-    return _plugin_values(phi, n)
+        delta = cfg.delta(n)
+        return lambda c: bias_corrected_fn(phi, cfg.correction_order, delta, n, c / n)
+    return lambda c: phi.eval(c / n)
 
 
 def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig) -> CompositeResult:
@@ -588,12 +582,11 @@ def run_estimator(name: str, h: Histogram, phi: Functional, cfg: EstimatorConfig
     every symbol in the plugin branch and None split fields.  corrected
     warns when more than half the symbols have a frequency below its
     truncation point delta, where each is floored at phi(delta); the
-    plain plugin warns of nothing.  Every estimator rejects n_nominal 0.
+    plain plugin warns of nothing.  Every estimator rejects n_nominal 0
+    (_count_rule).
     """
     if name not in ESTIMATORS:
         raise ConfigurationError(f"estimator must be one of {ESTIMATORS}, got {name!r}")
-    if not h.n_nominal > 0:
-        raise ConfigurationError(f"sample size n must be positive, got {h.n_nominal!r}")
     if name == "composite":
         return composite_estimate(h, phi, cfg)
     value = _fingerprint_sum(h.counts, _count_rule(name, phi, cfg, h.n_nominal))

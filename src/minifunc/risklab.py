@@ -8,12 +8,12 @@ a closed-form rate oracle keyed on the divergence-speed exponent.  Both
 run one simulation routine, which runs the reps of every cell in
 cell-then-rep order, serially or over at most one fork pool.  Each rep
 draws an exact sample of n from P, by a rule fixed by the cell: where
-n <= k, n symbols from a Walker alias table of P, counted (with no alias
-coins where the table keeps every symbol, as for uniform P); where n > k,
-numpy's multinomial histogram.  A rep draws a bare count array, for
-every estimator.  A symbol's term depends only on its count, so a rep's
-estimate is the sum estimators._fingerprint_sum would give: how many
-symbols share each count, times the estimator's value at that count,
+n <= k, n symbols from a Walker alias table of P, counted (with no table
+and no alias coins where P's masses are all equal, as for uniform P);
+where n > k, numpy's multinomial histogram.  A rep draws a bare count
+array, for every estimator.  A symbol's term depends only on its count,
+so a rep's estimate is estimators._fingerprint_sum of its counts and the
+estimator's _count_rule, the library's own sum and rule, with the terms
 gathered from one table the cell fills once.  The estimates are
 byte-identical to run_estimator's on the same draw.  A cell's reps run
 in blocks of _BLOCK: block b draws from numpy's
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, MinifuncError
-from .estimators import ESTIMATORS, _count_rule, _fingerprint, tuned_config
+from .estimators import ESTIMATORS, _count_rule, _fingerprint_sum, tuned_config
 from .functionals import Functional, additive_functional
 
 __all__ = [
@@ -223,34 +223,35 @@ def _alias_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sampler(P: np.ndarray, table, n: int):
     """The exact draw of one rep of a cell: rng -> its counts, as
-    run_estimator would see them.
+    run_estimator would see them.  The rule is picked once per cell.
 
     Where n > k, numpy's multinomial histogram (k conditional binomials),
     the call sample_histogram makes on the same rng.  Where n <= k, n
     symbols from P's alias table (q, alias), counted in O(n + k).  Where
-    the table keeps every symbol (q = 1, checked once per cell), every
-    alias coin would keep j: the draw takes the uniform symbols as they
-    are and advances the rng past the n doubles the coins would take.
-    The risk lab's PCG64 spends one 64-bit output per double, so the counts
-    and the 64-bit stream position after them are the coin path's.  The
-    advance also drops PCG64's buffered 32-bit half, which rng.integers
-    leaves set after an odd n: from there on a block's later reps draw
-    other symbols than the coin path would, all of them exact.
+    the table is None (P's masses all equal, whose table has q = 1), every
+    alias coin would keep j: the draw takes the uniform symbols as they are
+    and advances the rng past the n doubles the coins would take.  The risk
+    lab's PCG64 spends one 64-bit output per double, so the counts and the
+    64-bit stream position after them are the coin path's.  The advance
+    also drops PCG64's buffered 32-bit half, which rng.integers leaves set
+    after an odd n: from there on a block's later reps draw other symbols
+    than the coin path would, all of them exact.
     """
     k = P.size
-    keeps_all = table is not None and bool((table[0] == 1.0).all())
+    if n > k:
+        return lambda rng: rng.multinomial(n, P)
+    if table is None:
+        def draw(rng):
+            sym = rng.integers(0, k, n)
+            rng.bit_generator.advance(n)
+            return np.bincount(sym, minlength=k)
+
+        return draw
+    q, alias = table
 
     def draw(rng):
-        if n > k:
-            return rng.multinomial(n, P)
-        q, alias = table
         j = rng.integers(0, k, n)
-        if keeps_all:
-            sym = j
-            rng.bit_generator.advance(n)
-        else:
-            sym = np.where(rng.random(n) < q[j], j, alias[j])
-        return np.bincount(sym, minlength=k)
+        return np.bincount(np.where(rng.random(n) < q[j], j, alias[j]), minlength=k)
 
     return draw
 
@@ -279,15 +280,15 @@ def _tabled(values, limit: int):
 def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
     """theta and the block function of one (spec, estimator, n) cell.
 
-    P and its alias table are built once per spec, and the estimator's
-    per-count rule (the composite's Remez plan included) here; all before
-    any pool forks, so every rep only reads them.  Block b runs reps
-    b * _BLOCK up to the next block or reps, one after another on
-    numpy's default_rng(SeedSequence((master_seed, n, k, estimator index,
-    b))).  The rule's value function is _tabled over the counts up to
+    P and its alias table (None for equal masses) are built once per spec,
+    and the cell's _sampler and the estimator's per-count rule (the
+    composite's Remez plan included) here; all before any pool forks, so
+    every rep only reads them.  Block b runs reps b * _BLOCK up to the
+    next block or reps, one after another on numpy's
+    default_rng(SeedSequence((master_seed, n, k, estimator index, b))).  The rule's value function is _tabled over the counts up to
     min(n, max(k, 2**16)), past k where a rep's counts are, in a table
     each process fills as its reps need; a rep is then a draw of bare
-    counts, its _fingerprint, one gather from the table and one
+    counts and their _fingerprint_sum, one gather from the table and one
     math.fsum."""
     key = (master_seed, n, spec.k, ESTIMATORS.index(estimator))
     draw = _sampler(P, table, n)
@@ -299,8 +300,7 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
         for r in range(b * _BLOCK, min((b + 1) * _BLOCK, reps)):
             counts = draw(rng)
             try:
-                keys, mult = _fingerprint(counts)
-                estimates.append(math.fsum((mult * terms(keys)).tolist()))
+                estimates.append(_fingerprint_sum(counts, terms))
             except MinifuncError as e:
                 raise type(e)(
                     f"estimator {estimator!r} failed at rep {r}: {e}"
@@ -313,11 +313,14 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
 def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
     """One RiskReport per (spec, estimator, n) cell, in cell order.
 
-    The blocks of reps run, and their estimates are collected, in
-    cell-then-block order; with jobs > 1 the flat block index is mapped,
-    ceil(blocks / workers) to a chunk, over one fork pool of min(jobs,
-    cpu count, cells * blocks) workers.  Where fork is unavailable they
-    run serially.
+    P is built once per spec, and its alias table once where some cell
+    draws by symbol, unless P's masses are all equal: they scale to one
+    side of 1, so Vose's loop never pairs and q = 1 everywhere, and the
+    cells get table None.  The blocks of reps run, and their estimates are
+    collected, in cell-then-block order; with jobs > 1 the flat block
+    index is mapped, ceil(blocks / workers) to a chunk, over one fork pool
+    of min(jobs, cpu count, cells * blocks) workers.  Where fork is
+    unavailable they run serially.
     """
     global _SIMULATION
     for _, estimator, n in cells:
@@ -334,14 +337,14 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     cfg = tuned_config(phi.alpha)
-    # P once per spec, and its alias table once where some cell draws by symbol
     dists, tables = {}, {}
     for spec, _, n in cells:
         if spec not in dists:
             seq = np.random.SeedSequence((master_seed, spec.k, _DIST_SEED_TAG))
             dists[spec] = spec.probability_vector(rng=np.random.default_rng(seq))
-        if n <= spec.k and spec not in tables:
-            tables[spec] = _alias_table(dists[spec])
+        P = dists[spec]
+        if n <= spec.k and spec not in tables and (P != P[0]).any():
+            tables[spec] = _alias_table(P)
     built = (_cell(s, est, n, phi, cfg, master_seed, dists[s], tables.get(s), reps) for s, est, n in cells)
     thetas, run_blocks = zip(*built)
 

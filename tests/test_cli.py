@@ -1187,6 +1187,15 @@ class TestRiskSweepCommand:
         digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
         assert digest == self.PINNED_SWEEP_SHA256
 
+    def test_uniform_sweep_builds_no_alias_table(self, tmp_path, capsys, monkeypatch):
+        # uniform P has equal masses, whose alias table keeps every symbol:
+        # the pinned sweep draws the same bytes without building one
+        def no_table(P):
+            raise AssertionError("an alias table was built for equal masses")
+
+        monkeypatch.setattr("minifunc.risklab._alias_table", no_table)
+        self.test_pinned_sweep_bytes(tmp_path, capsys, "1")
+
     def test_unwritable_out_exit_3(self, tmp_path, capsys, monkeypatch):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was checked")

@@ -879,14 +879,30 @@ class TestPluginEstimators:
             )
             assert got == pytest.approx(want, rel=1e-14)
 
-    def test_corrected_rejects_an_empty_sample_before_dividing(self):
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda h, cfg: plain_plugin_estimate(h, SH),
+            lambda h, cfg: corrected_plugin_estimate(h, SH, cfg),
+            lambda h, cfg: composite_estimate(h, SH, cfg),
+            lambda h, cfg: composite_estimate(split_samples(h, rng=0), SH, cfg),
+            *(lambda h, cfg, name=name: run_estimator(name, h, SH, cfg) for name in ESTIMATORS),
+        ],
+        ids=["plugin", "corrected", "composite", "composite-split",
+             *(f"run_estimator-{name}" for name in ESTIMATORS)],
+    )
+    def test_every_estimator_rejects_an_empty_sample_before_dividing(self, estimate):
         # n = 0 is checked before any count is divided by it, so the
         # suite's RuntimeWarning filter does not turn a 0/0 into the error
         h = Histogram(counts=np.zeros(3, dtype=np.int64), n_nominal=0)
         with pytest.raises(ConfigurationError, match="sample size n must be positive, got 0"):
-            corrected_plugin_estimate(h, SH, tuned_config(1.0))
-        with pytest.raises(ConfigurationError, match="sample size n must be positive, got 0"):
-            run_estimator("corrected", h, SH, tuned_config(1.0))
+            estimate(h, tuned_config(1.0))
+
+    def test_poissonized_all_zero_counts_still_estimate(self):
+        # a positive rate with no symbol seen is a sample, not an empty one
+        h = Histogram(counts=np.zeros(3, dtype=np.int64), n_nominal=100, model="poissonized")
+        assert plain_plugin_estimate(h, SH) == 0.0
+        assert math.isfinite(composite_estimate(h, SH, tuned_config(1.0)).estimate)
 
     def test_plain_plugin_matches_manual_sum(self):
         for h in _PLUGIN_HISTOGRAMS:

@@ -253,16 +253,17 @@ class TestMonteCarloRisk:
         assert serial.mse == forked.mse
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
-        # a rep sums its values from the fingerprint of its counts
-        real = risklab._fingerprint
+        # a rep sums its values from the fingerprint of its counts, taken
+        # by the library's own _fingerprint_sum
+        real = estimators._fingerprint
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # n = 200 is drawn by symbol at k = 200 and as a histogram at k = 20
         for k in (200, 20):
             spec = DistributionSpec("uniform", k)
-            # the counts the estimate sees at rep 150: the cell's own draw,
-            # the 51st of block 1's stream
+            # the counts the estimate sees at rep 150: the cell's own draw
+            # (uniform P, so no alias table), the 51st of block 1's stream
             P = spec.probability_vector()
-            draw = risklab._sampler(P, risklab._alias_table(P), 200)
+            draw = risklab._sampler(P, None, 200)
             key = (0, 200, k, ESTIMATORS.index("plugin"))
             counts150 = [draw(rng) for rng in _rep_rngs(key, 151)][150]
 
@@ -271,7 +272,7 @@ class TestMonteCarloRisk:
                     raise NumericalError("injected")
                 return real(counts)
 
-            monkeypatch.setattr(risklab, "_fingerprint", failing)
+            monkeypatch.setattr(estimators, "_fingerprint", failing)
             with pytest.raises(NumericalError, match="failed at rep 150: injected"):
                 monte_carlo_risk(spec, SH, "plugin", 200, reps=300, jobs=2)
 
@@ -475,13 +476,14 @@ class TestSampler:
              "zipf-odd", "zipf-even"],
     )
     def test_draws_are_the_alias_coin_formula(self, spec, n, split):
-        # where the table keeps every symbol the draw skips the coins and
+        # uniform P draws with no table, as the risk lab passes it, so the
+        # draw skips the coins its table would keep every symbol with and
         # advances past them; its counts must be the coin path's, bit for
         # bit, and so must the 64-bit stream position it leaves: with
         # split, the draw's thinning by split_samples reads from there
         P = spec.probability_vector()
         q, alias = table = risklab._alias_table(P)
-        draw = risklab._sampler(P, table, n)
+        draw = risklab._sampler(P, None if spec.family == "uniform" else table, n)
         k = spec.k
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -622,11 +624,12 @@ class TestRateSweep:
 
     def test_alias_table_built_once_per_distribution(self, monkeypatch):
         # 4 n values x 2 estimators, all drawn by symbol at k = n: one
-        # table per distinct P, not one per cell
+        # table per distinct P, not one per cell (zipf: uniform P has
+        # equal masses and builds none)
         built = []
         real = risklab._alias_table
         monkeypatch.setattr(risklab, "_alias_table", lambda P: built.append(P.size) or real(P))
-        rate_sweep("uniform", SH, ["plugin", "composite"], [30, 60, 120, 300], reps=100)
+        rate_sweep("zipf", SH, ["plugin", "composite"], [30, 60, 120, 300], reps=100)
         assert built == [30, 60, 120, 300]
 
     def test_csv_identical_across_jobs(self, uniform_sweeps):
