@@ -512,16 +512,14 @@ def composite_estimate(data, phi: Functional, cfg: EstimatorConfig, rng=None) ->
         raise ConfigurationError(
             f"composite_estimate needs a Histogram or SplitHistograms, got {type(data).__name__}"
         )
-    values = _count_rule("composite", phi, cfg, n)
-    n_eff = n / 2.0
-    rule = _composite_rule(phi, cfg, n_eff)
-    construction = (n_eff, rule.degree, rule.threshold, rule.interval)
-    value = _fingerprint_sum(counts, values)
+    value = _fingerprint_sum(counts, _count_rule("composite", phi, cfg, n))
+    rule = _composite_rule(phi, cfg, n / 2.0)
+    construction = (rule.n_eff, rule.degree, rule.threshold, rule.interval)
 
     if rule.approx is None:
         warning = (
             f"degree floor(C1 ln n_effective) = {rule.degree} and truncation point {rule.delta:g} "
-            f"at C1={cfg.c1:g}, n_effective={n_eff:g}: the composite construction is degenerate "
+            f"at C1={cfg.c1:g}, n_effective={rule.n_eff:g}: the composite construction is degenerate "
             "(the admissible constants' guarantee is asymptotic); "
             f"falling back to the plain plugin at n = {n:g}"
         )

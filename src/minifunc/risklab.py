@@ -285,7 +285,8 @@ def _cell(spec, estimator, n, phi, cfg, master_seed, P, table, reps):
     composite's Remez plan included) here; all before any pool forks, so
     every rep only reads them.  Block b runs reps b * _BLOCK up to the
     next block or reps, one after another on numpy's
-    default_rng(SeedSequence((master_seed, n, k, estimator index, b))).  The rule's value function is _tabled over the counts up to
+    default_rng(SeedSequence((master_seed, n, k, estimator index, b))).
+    The rule's value function is _tabled over the counts up to
     min(n, max(k, 2**16)), past k where a rep's counts are, in a table
     each process fills as its reps need; a rep is then a draw of bare
     counts and their _fingerprint_sum, one gather from the table and one
