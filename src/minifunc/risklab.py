@@ -228,7 +228,7 @@ def _sampler(P: np.ndarray, table, n: int):
     Where n > k, numpy's multinomial histogram (k conditional binomials),
     the call sample_histogram makes on the same rng.  Where n <= k, n
     symbols from P's alias table (q, alias), counted in O(n + k).  Where
-    the table is None (P's masses all equal, whose table has q = 1), every
+    the table is None (its q would be 1 for every symbol), every
     alias coin would keep j: the draw takes the uniform symbols as they are
     and advances the rng past the n doubles the coins would take.  The risk
     lab's PCG64 spends one 64-bit output per double, so the counts and the
@@ -316,8 +316,9 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
 
     P is built once per spec, and its alias table once where some cell
     draws by symbol, unless P's masses are all equal: they scale to one
-    side of 1, so Vose's loop never pairs and q = 1 everywhere, and the
-    cells get table None.  The blocks of reps run, and their estimates are
+    side of 1, so Vose's loop never pairs and q = 1 everywhere.  The cells
+    get table None there, and where a built table has q = 1 everywhere
+    (masses a few ulps apart, as zipf's at exponent 1e-16).  The blocks of reps run, and their estimates are
     collected, in cell-then-block order; with jobs > 1 the flat block
     index is mapped, ceil(blocks / workers) to a chunk, over one fork pool
     of min(jobs, cpu count, cells * blocks) workers.  Where fork is
@@ -345,7 +346,8 @@ def _simulate(cells, phi, reps, master_seed, jobs) -> list[RiskReport]:
             dists[spec] = spec.probability_vector(rng=np.random.default_rng(seq))
         P = dists[spec]
         if n <= spec.k and spec not in tables and (P != P[0]).any():
-            tables[spec] = _alias_table(P)
+            q, alias = _alias_table(P)
+            tables[spec] = None if (q == 1.0).all() else (q, alias)
     built = (_cell(s, est, n, phi, cfg, master_seed, dists[s], tables.get(s), reps) for s, est, n in cells)
     thetas, run_blocks = zip(*built)
 

@@ -632,6 +632,19 @@ class TestRateSweep:
         rate_sweep("zipf", SH, ["plugin", "composite"], [30, 60, 120, 300], reps=100)
         assert built == [30, 60, 120, 300]
 
+    def test_table_keeping_every_symbol_draws_without_coins(self, monkeypatch):
+        # zipf masses at exponent 1e-16 differ by ulps but all scale below
+        # 1, so the table keeps every symbol: the cell gets no table and
+        # draws as uniform P does
+        spec = DistributionSpec("zipf", 7, 1e-16)
+        P = spec.probability_vector()
+        assert (P != P[0]).any() and (risklab._alias_table(P)[0] == 1.0).all()
+        seen = []
+        real = risklab._sampler
+        monkeypatch.setattr(risklab, "_sampler", lambda P, table, n: seen.append(table) or real(P, table, n))
+        monte_carlo_risk(spec, SH, "plugin", 7, reps=100)
+        assert seen == [None]
+
     def test_csv_identical_across_jobs(self, uniform_sweeps):
         one, three = uniform_sweeps
         assert one.to_csv() == three.to_csv()
