@@ -335,15 +335,14 @@ def _window(counts) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(np.ceil(N / 2.0 - half), 0.0), np.minimum(np.floor(N / 2.0 + half), N)
 
 
-def _half_binomial(counts) -> tuple[np.ndarray, np.ndarray]:
-    """(a, w): row i holds a = lo..hi, the _window of N = counts[i], and
-    w = C(N, a) 2^-N, padded to the longest row with a = hi, w = 0.  w is
-    the product from lo of C(N, a + 1) / C(N, a) = (N - a) / (a + 1) over
-    its sum, both run left to right, so no row depends on the others."""
-    lo, hi = (x[:, None] for x in _window(counts))
-    N = np.asarray(counts, dtype=float)[:, None]
+def _pmf_window(lo, hi, ratio) -> tuple[np.ndarray, np.ndarray]:
+    """(a, w): row i holds a = lo[i]..hi[i], padded to the longest row with
+    a = hi[i], w = 0.  w is the product from lo of ratio(a) = pmf(a + 1) /
+    pmf(a), a taken as the float array of rows, over its sum, both run left
+    to right, so no row depends on the others.  The caller bounds the tails."""
+    lo, hi = lo[:, None], hi[:, None]
     a = lo + np.arange(float((hi - lo).max()) + 1.0)
-    step = np.where(a < hi, (N - a) / (a + 1.0), 0.0)
+    step = np.where(a < hi, ratio(a), 0.0)
     r = np.ones_like(a)
     np.cumprod(step[:, :-1], axis=1, out=r[:, 1:])
     return np.minimum(a, hi).astype(np.int64), r / np.cumsum(r, axis=1)[:, -1:]
@@ -406,9 +405,9 @@ class _CompositeRule:
         A count whose _window spans _WINDOW_POINTS points or more, and whose
         poly branch lies beyond it (N/2 - threshold >= 12 sqrt N), takes the
         16-node Gauss-Hermite mean of plugin_values over Normal(N/2, N/4).
-        Every other count takes the exact sum over its window
-        (_half_binomial), in blocks of about _WINDOW_CELLS cells, g tabled
-        once per branch.  A count's value does not depend on the others."""
+        Every other count sums g over its _pmf_window, ratio (N - a) / (a + 1),
+        in blocks of about _WINDOW_CELLS cells, g tabled once per branch.  A
+        count's value does not depend on the others."""
         counts = np.asarray(counts)
         lo, hi = _window(counts)
         out = np.empty(counts.size)
@@ -430,7 +429,7 @@ class _CompositeRule:
             # each row is padded to the longest of its block
             cells = np.arange(1.0, rows.size - start + 1.0) * np.maximum.accumulate((hi - lo + 1.0)[start:])
             stop = start + max(1, int(np.searchsorted(cells, _WINDOW_CELLS, side="right")))
-            a, w = _half_binomial(N[start:stop])
+            a, w = _pmf_window(lo[start:stop], hi[start:stop], lambda a: (N[start:stop, None] - a) / (a + 1))
             g = plugin[a]
             at = N[start:stop, None] - a < self.threshold
             g[at] = poly[a[at]]

@@ -3,9 +3,9 @@
 Two-point arguments (KL and Hellinger flavors), moment-matched measure
 pairs read off the dual of the best polynomial approximation (the Remez
 alternation points carry them), the tilted variant that fixes the first
-moment, total-variation control for Poisson mixtures, and the
-three-branch composite bound that ties risk to the best polynomial
-approximation error.
+moment, the total variation of Poisson mixtures over certified windows
+(estimators._pmf_window), and the three-branch composite bound that ties
+risk to the best polynomial approximation error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, SupportError
+from .estimators import _pmf_window
 from .functionals import (
     Functional,
     ProbabilityVector,
@@ -306,43 +307,42 @@ class PoissonMixtureTV:
 def poisson_mixture_tv(pair: MeasurePair, n: int, k: int, trunc: int | None = None) -> PoissonMixtureTV:
     """Total variation between the two Poisson mixtures at rates n*x/k.
 
-    numeric_tv sums |mixture pmf difference| over 0..trunc; trunc
-    defaults to max_rate + 12 sqrt(max_rate) + 50.  The mass beyond trunc
-    is certified below 1e-12 by the Chernoff bound
-    P(X >= t) <= e^-M (eM/t)^t at t = trunc + 1 > M.  bound is
-    (2eM/L)^L when the matched order L exceeds 2eM, else +inf (the
-    moment argument gives nothing there).
+    numeric_tv, clamped to [0, 1], sums |mixture pmf difference| over each
+    rate's _poisson_window, its pmf a _pmf_window.  trunc, the upper clip of
+    every window, defaults to max_rate + 12 sqrt(max_rate) + 50.  Chernoff
+    certifies the mass outside each window, both edges, below 1e-12.  bound
+    is (2eM/L)^L when the matched order L exceeds 2eM, else +inf.
     """
+    if n < 1 or k < 1:
+        raise ConfigurationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     rates = n * pair.support / k
     M = float(rates.max())
     if trunc is None:
         trunc = int(math.ceil(M + 12.0 * math.sqrt(M) + 50.0))
-    t = trunc + 1
-    if M <= 0.0:
-        tail = 0.0
-    elif t <= M:
-        tail = 1.0
-    else:
-        tail = math.exp(t * math.log(math.e * M / t) - M)
-    if tail >= 1e-12:
+    lo, hi, tails = _poisson_window(rates, trunc)
+    tail = tails.sum(axis=0).max()
+    if not tail < 1e-12:  # a clip binds hardest at the largest rate
         raise NumericalError(
             f"truncation {trunc} leaves Poisson tail mass up to {tail:.3g} at rate {M:.6g}"
         )
-    # log-space pmf j ln r - r - ln j!; a zero rate puts all its mass at j = 0
-    j = np.arange(trunc + 1)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(trunc + 1)])
-    positive = rates > 0.0
-    log_rates = np.log(np.where(positive, rates, 1.0))
-    log_pmf = j[:, None] * log_rates[None, :] - rates[None, :] - log_fact[:, None]
-    pmf = np.where(positive[None, :], np.exp(log_pmf), (j == 0)[:, None])
-    diff = pmf @ pair.w0 - pmf @ pair.w1
-    tv = 0.5 * float(np.abs(diff).sum())
-    L = pair.matched_orders
-    if L > 2.0 * math.e * M:
-        bound = float(np.exp(L * (np.log(2.0 * math.e * M) - np.log(L)))) if M > 0 else 0.0
-    else:
-        bound = float("inf")
+    a, w = _pmf_window(lo, hi, lambda a: rates[:, None] / (a + 1.0))
+    diff = np.bincount(a.ravel(), (w * (pair.w0 - pair.w1)[:, None]).ravel())
+    tv = min(0.5 * float(np.abs(diff).sum()), 1.0)
+    L = pair.matched_orders  # the moment argument gives nothing at L <= 2eM
+    bound = (2.0 * math.e * M / L) ** L if L > 2.0 * math.e * M else math.inf
     return PoissonMixtureTV(numeric_tv=tv, bound=bound, trunc=int(trunc), max_rate=M)
+
+
+def _poisson_window(rates, trunc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, tails): r -+ (12 sqrt r + 50) clipped to [0, trunc] per rate r;
+    tails[0] is Chernoff's e^-r (e r / t)^t on P(X <= t) at t = lo - 1 (0 if
+    lo = 0), tails[1] that on P(X >= t) at t = hi + 1 (1 if hi + 1 <= r)."""
+    half = 12.0 * np.sqrt(rates) + 50.0
+    lo, hi = np.maximum(np.ceil(rates - half), 0.0), np.minimum(np.floor(rates + half), trunc)
+    t = np.stack([lo - 1.0, hi + 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # t log(e r / t) is 0 at t = 0
+        b = np.exp(np.where(t > 0.0, t * (1.0 + np.log(rates / t)), 0.0) - rates)
+    return lo, hi, np.stack([np.where(t[0] < 0.0, 0.0, b[0]), np.where(t[1] > rates, b[1], 1.0)])
 
 
 @dataclass(frozen=True)

@@ -791,8 +791,8 @@ class TestCoinAverage:
 
     @pytest.mark.parametrize("N", [1, 2, 57, 4000, _last_exact_count()])
     def test_window_weights_are_exact(self, N):
-        (a,), (w,) = estimators._half_binomial(np.array([N]))
         lo, hi = estimators._window(np.array([N]))
+        (a,), (w,) = estimators._pmf_window(lo, hi, lambda a: (N - a) / (a + 1.0))
         assert (a[0], a[-1]) == (lo[0], hi[0]) and a.tolist() == list(range(a[0], a[-1] + 1))
         # C(N, a) in exact integers, stepped along the window
         exact, c, scale = [], math.comb(N, int(a[0])), 2**N

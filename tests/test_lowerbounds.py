@@ -7,6 +7,7 @@ Poisson TV bound arithmetic).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 from scipy.stats import poisson
 
+from minifunc import estimators, lowerbounds
 from minifunc.errors import ConfigurationError, NumericalError, SupportError
 from minifunc.functionals import (
     ProbabilityVector,
@@ -425,6 +427,53 @@ class TestPoissonMixtureTV:
         want = _scipy_mixture_tv(pair, 1000, 1, res.trunc)
         assert 0.5 < want < 0.99
         assert res.numeric_tv == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("n, k", [(-1, 1), (0, 1), (1, 0), (1, -1)])
+    def test_rejects_n_or_k_below_one(self, n, k):
+        pair = moment_matched_pair(SH, 8, (0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="need n >= 1 and k >= 1"):
+            poisson_mixture_tv(pair, n, k)
+
+    def test_separated_pair_at_a_million_reads_one_in_windows(self):
+        # rates up to 1e6: one window of ~24 000 points per support point,
+        # where a dense table over 0..trunc took 260 MB
+        import tracemalloc
+
+        pair = moment_matched_pair(SH, 8, (0.0, 1.0))
+        tracemalloc.start()
+        try:
+            res = poisson_mixture_tv(pair, 10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1.0 - 1e-14 <= res.numeric_tv <= 1.0
+        assert peak < 40e6
+
+    @pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(7), Fraction(250)])
+    def test_window_weights_are_exact(self, rate):
+        rates = np.array([float(rate)])
+        lo, hi, _ = lowerbounds._poisson_window(rates, 10**6)
+        (a,), (w,) = estimators._pmf_window(lo, hi, lambda a: rates[:, None] / (a + 1.0))
+        assert (a[0], a[-1]) == (lo[0], hi[0]) and a.tolist() == list(range(a[0], a[-1] + 1))
+        # rate^a / a! in exact rationals; e^-rate cancels in the normalisation
+        terms = [rate ** x / math.factorial(x) for x in a.tolist()]
+        total = sum(terms)
+        exact = np.array([float(t / total) for t in terms])
+        assert (np.abs(w - exact) <= 1e-13 * exact).all()
+
+    @pytest.mark.parametrize("rate, trunc", [
+        (0.0, None), (1.0, None), (233.3, None), (1e3, None), (1e6, None), (100.0, 120), (100.0, 90),
+    ])
+    def test_tail_bound_covers_both_edges(self, rate, trunc):
+        # at 233.3 the window first starts at 1, where the left edge's
+        # bound is e^-rate at t = 0 and must not read 0 log(1/0) as NaN
+        rates = np.array([rate])
+        lo, hi, ((below,), (above,)) = lowerbounds._poisson_window(rates, 10**7 if trunc is None else trunc)
+        if rate == 233.3:
+            assert lo[0] == 1.0 and below == pytest.approx(math.exp(-rate), rel=1e-12)
+        assert below >= poisson.cdf(lo[0] - 1.0, rate)
+        assert above >= poisson.sf(hi[0], rate)
+        assert below + above < 1e-12 if trunc is None else above <= 1.0
 
 
 def _scipy_mixture_tv(pair, n, k, trunc):
