@@ -328,8 +328,8 @@ def _fingerprint(counts) -> tuple[np.ndarray, np.ndarray]:
 
 def _window(counts) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), floats: N/2 -+ (12 sqrt N + 20) clipped to [0, N] for each
-    count N.  The certificate: Hoeffding bounds the Binomial(N, 1/2) mass
-    outside by 2 exp(-2 (12 sqrt N)^2 / N) = 2 exp(-288)."""
+    count N, the window values sums over.  Hoeffding bounds the Binomial(N, 1/2)
+    mass outside by 2 exp(-2 (12 sqrt N)^2 / N) = 2 exp(-288)."""
     N = np.asarray(counts, dtype=float)
     half = 12.0 * np.sqrt(N) + 20.0
     return np.maximum(np.ceil(N / 2.0 - half), 0.0), np.minimum(np.floor(N / 2.0 + half), N)
@@ -338,8 +338,8 @@ def _window(counts) -> tuple[np.ndarray, np.ndarray]:
 def _pmf_window(lo, hi, ratio) -> tuple[np.ndarray, np.ndarray]:
     """(a, w): row i holds a = lo[i]..hi[i], padded to the longest row with
     a = hi[i], w = 0.  w is the product from lo of ratio(a) = pmf(a + 1) /
-    pmf(a), a taken as the float array of rows, over its sum, both run left
-    to right, so no row depends on the others.  The caller bounds the tails."""
+    pmf(a), ratio given the float rows of a, over its sum, both run left to
+    right, so no row depends on the others.  The caller bounds the tails."""
     lo, hi = lo[:, None], hi[:, None]
     a = lo + np.arange(float((hi - lo).max()) + 1.0)
     step = np.where(a < hi, ratio(a), 0.0)
