@@ -326,20 +326,22 @@ def _fingerprint(counts) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(keys, return_counts=True)
 
 
-def _window(counts) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi), floats: N/2 -+ (12 sqrt N + 20) clipped to [0, N] for each
-    count N, the window values sums over.  Hoeffding bounds the Binomial(N, 1/2)
-    mass outside by 2 exp(-2 (12 sqrt N)^2 / N) = 2 exp(-288)."""
-    N = np.asarray(counts, dtype=float)
-    half = 12.0 * np.sqrt(N) + 20.0
-    return np.maximum(np.ceil(N / 2.0 - half), 0.0), np.minimum(np.floor(N / 2.0 + half), N)
+def _window(center, half, top=np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), floats: center -+ half rounded inward and clipped to [0, top],
+    so every count outside lies more than half from center.  Each window is
+    certified in closed form: Hoeffding bounds the Binomial(N, 1/2) mass
+    outside (N/2, 12 sqrt N + 20, N) by 2 exp(-2 (12 sqrt N)^2 / N) =
+    2 exp(-288), and Bernstein the Poisson(r) mass outside (r, t = 12 sqrt r
+    + 50) by 2 exp(-t^2 / (2 (r + t / 3))) <= 2 exp(-72), at every N and r."""
+    return np.maximum(np.ceil(center - half), 0.0), np.minimum(np.floor(center + half), top)
 
 
 def _pmf_window(lo, hi, ratio) -> tuple[np.ndarray, np.ndarray]:
     """(a, w): row i holds a = lo[i]..hi[i], padded to the longest row with
     a = hi[i], w = 0.  w is the product from lo of ratio(a) = pmf(a + 1) /
     pmf(a), ratio given the float rows of a, over its sum, both run left to
-    right, so no row depends on the others.  The caller bounds the tails."""
+    right, so no row depends on the others.  lo and hi come from _window,
+    which certifies the mass outside."""
     lo, hi = lo[:, None], hi[:, None]
     a = lo + np.arange(float((hi - lo).max()) + 1.0)
     step = np.where(a < hi, ratio(a), 0.0)
@@ -402,14 +404,15 @@ class _CompositeRule:
     def values(self, counts) -> np.ndarray:
         """The mean of g(a, N - a) over a ~ Binomial(N, 1/2), at each count N.
 
-        A count whose _window spans _WINDOW_POINTS points or more, and whose
-        poly branch lies beyond it (N/2 - threshold >= 12 sqrt N), takes the
-        16-node Gauss-Hermite mean of plugin_values over Normal(N/2, N/4).
-        Every other count sums g over its _pmf_window, ratio (N - a) / (a + 1),
-        in blocks of about _WINDOW_CELLS cells, g tabled once per branch.  A
-        count's value does not depend on the others."""
+        A count whose _window(N/2, 12 sqrt N + 20, N) spans _WINDOW_POINTS
+        points or more, and whose poly branch lies beyond it (N/2 - threshold
+        >= 12 sqrt N), takes the 16-node Gauss-Hermite mean of plugin_values
+        over Normal(N/2, N/4).  Every other count sums g over that window
+        against its _pmf_window, ratio (N - a) / (a + 1), in blocks of about
+        _WINDOW_CELLS cells, g tabled once per branch.  A count's value does
+        not depend on the others."""
         counts = np.asarray(counts)
-        lo, hi = _window(counts)
+        lo, hi = _window(counts / 2.0, 12.0 * np.sqrt(counts) + 20.0, counts)
         out = np.empty(counts.size)
         big = (hi - lo >= _WINDOW_POINTS) & (counts / 2.0 - self.threshold >= 12.0 * np.sqrt(counts))
         if big.any():

@@ -2,10 +2,11 @@
 
 Two-point arguments (KL and Hellinger flavors), moment-matched measure
 pairs read off the dual of the best polynomial approximation (the Remez
-alternation points carry them), the tilted variant that fixes the first
-moment, the total variation of Poisson mixtures over certified windows
-(estimators._pmf_window), and the three-branch composite bound that ties
-risk to the best polynomial approximation error.
+alternation points carry them) and checked by MeasurePair itself, the
+tilted variant that fixes the first moment, the total variation of Poisson
+mixtures over estimators._window windows whose outside mass Bernstein bounds
+in closed form, and the three-branch composite bound that ties risk to the
+best polynomial approximation error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, SupportError
-from .estimators import _pmf_window
+from .estimators import _pmf_window, _window
 from .functionals import (
     Functional,
     ProbabilityVector,
@@ -157,7 +158,10 @@ class MeasurePair:
     agree (order 0 by normalization).  gap is the difference of phi-means.
     The constructions below put the pair on the Remez alternation points,
     where gap equals expected_gap = 2 E_L up to the Remez levelling
-    tolerance.
+    tolerance.  Construction raises ConfigurationError on an empty support,
+    a negative or non-finite support point or matched_orders below 0, and
+    NumericalError on weights that are negative or do not sum to 1, or
+    moments that differ by more than 1e-8.
     """
 
     support: np.ndarray
@@ -174,6 +178,13 @@ class MeasurePair:
         w1 = np.asarray(self.w1, dtype=float)
         if not (support.shape == w0.shape == w1.shape) or support.ndim != 1:
             raise ConfigurationError("support, w0, w1 must be 1-d arrays of equal length")
+        if support.size == 0:
+            raise ConfigurationError("support is empty")
+        bad = support[~(np.isfinite(support) & (support >= 0.0))]
+        if bad.size:
+            raise ConfigurationError(f"support points must be finite and >= 0, got {float(bad[0])!r}")
+        if self.matched_orders < 0:
+            raise ConfigurationError(f"matched_orders must be >= 0, got {self.matched_orders!r}")
         # written so that NaN weights fail both checks
         if not (w0.min() >= -1e-10 and w1.min() >= -1e-10):
             raise NumericalError("measure weights must be non-negative")
@@ -186,6 +197,9 @@ class MeasurePair:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "w0", np.clip(w0, 0.0, None))
         object.__setattr__(self, "w1", np.clip(w1, 0.0, None))
+        resid = self.moment_residuals().max(initial=0.0)
+        if not resid <= 1e-8:
+            raise NumericalError(f"moment constraints violated by {resid:.3g}")
 
     def moment_residuals(self) -> np.ndarray:
         """|w0-moment minus w1-moment| for orders 1..matched_orders."""
@@ -207,7 +221,8 @@ def moment_matched_pair(f, L: int, interval) -> MeasurePair:
     probability measures with moments 1..L matched, and the f-gap
     sum c_i (f - P)(x_i) is twice the levelled error E_L (Wu & Yang,
     IEEE TIT 2016).  The weights are formed in log space on the
-    normalized coordinate, so large L cannot overflow.
+    normalized coordinate, so large L cannot overflow.  MeasurePair checks
+    that the moments match to 1e-8.
     """
     fn = _as_callable(f)
     if L < 1:
@@ -232,8 +247,7 @@ def moment_matched_pair(f, L: int, interval) -> MeasurePair:
     warnings = []
     if not approx.converged:
         warnings.append(f"best-approximation reference did not converge at degree {L}")
-
-    pair = MeasurePair(
+    return MeasurePair(
         support=x,
         w0=w0,
         w1=w1,
@@ -242,10 +256,6 @@ def moment_matched_pair(f, L: int, interval) -> MeasurePair:
         expected_gap=2.0 * approx.sup_error,
         warnings=tuple(warnings),
     )
-    resid = pair.moment_residuals().max()
-    if resid > 1e-8:
-        raise NumericalError(f"moment constraints violated by {resid:.3g}")
-    return pair
 
 
 def _over_x(fn):
@@ -259,8 +269,8 @@ def tilted_pair(phi, L: int, gamma: float, eta: float) -> MeasurePair:
     Reweights a moment-matched base pair for f(x)/x on [gamma, gamma/eta]
     by gamma/u and parks the leftover mass in an atom at zero; the
     f-mean gap becomes 2 gamma E_L(f(x)/x, [gamma, gamma/eta]) and
-    moments 1..L+1 match.  Requires f(0) = 0 so the atom contributes
-    nothing to the gap.
+    moments 1..L+1 match, as MeasurePair checks to 1e-8.  Requires
+    f(0) = 0 so the atom contributes nothing to the gap.
     """
     fn = _as_callable(phi)
     if not 0.0 < gamma <= eta < 1.0:
@@ -281,7 +291,7 @@ def tilted_pair(phi, L: int, gamma: float, eta: float) -> MeasurePair:
             f"tilted atom mass negative ({min(atom0, atom1):.3g}); support below gamma?"
         )
     support = np.concatenate([[0.0], base.support])
-    pair = MeasurePair(
+    return MeasurePair(
         support=support,
         w0=np.concatenate([[max(atom0, 0.0)], w0]),
         w1=np.concatenate([[max(atom1, 0.0)], w1]),
@@ -290,10 +300,6 @@ def tilted_pair(phi, L: int, gamma: float, eta: float) -> MeasurePair:
         expected_gap=gamma * base.expected_gap,
         warnings=base.warnings,
     )
-    resid = pair.moment_residuals().max()
-    if resid > 1e-8:
-        raise NumericalError(f"tilted moment constraints violated by {resid:.3g}")
-    return pair
 
 
 @dataclass(frozen=True)
@@ -304,45 +310,28 @@ class PoissonMixtureTV:
     max_rate: float
 
 
-def poisson_mixture_tv(pair: MeasurePair, n: int, k: int, trunc: int | None = None) -> PoissonMixtureTV:
-    """Total variation between the two Poisson mixtures at rates n*x/k.
+def poisson_mixture_tv(pair: MeasurePair, n: int, k: int) -> PoissonMixtureTV:
+    """Total variation between the two Poisson mixtures at rates r = n*x/k.
 
     numeric_tv, clamped to [0, 1], sums |mixture pmf difference| over each
-    rate's _poisson_window, its pmf a _pmf_window.  trunc, the upper clip of
-    every window, defaults to max_rate + 12 sqrt(max_rate) + 50.  Chernoff
-    certifies the mass outside each window, both edges, below 1e-12.  bound
-    is (2eM/L)^L when the matched order L exceeds 2eM, else +inf.
+    rate's unclipped _window(r, 12 sqrt r + 50), its pmf a _pmf_window.
+    Bernstein bounds the Poisson(r) mass outside that window by 2 exp(-72),
+    about 1.1e-31, at every r.  trunc reports ceil(M + 12 sqrt M + 50),
+    M = max_rate, past which no window reaches.  bound is (2eM/L)^L when
+    the matched order L exceeds 2eM, else +inf.
     """
     if n < 1 or k < 1:
         raise ConfigurationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     rates = n * pair.support / k
     M = float(rates.max())
-    if trunc is None:
-        trunc = int(math.ceil(M + 12.0 * math.sqrt(M) + 50.0))
-    lo, hi, tails = _poisson_window(rates, trunc)
-    tail = tails.sum(axis=0).max()
-    if not tail < 1e-12:  # a clip binds hardest at the largest rate
-        raise NumericalError(
-            f"truncation {trunc} leaves Poisson tail mass up to {tail:.3g} at rate {M:.6g}"
-        )
+    lo, hi = _window(rates, 12.0 * np.sqrt(rates) + 50.0)
     a, w = _pmf_window(lo, hi, lambda a: rates[:, None] / (a + 1.0))
     diff = np.bincount(a.ravel(), (w * (pair.w0 - pair.w1)[:, None]).ravel())
     tv = min(0.5 * float(np.abs(diff).sum()), 1.0)
     L = pair.matched_orders  # the moment argument gives nothing at L <= 2eM
     bound = (2.0 * math.e * M / L) ** L if L > 2.0 * math.e * M else math.inf
-    return PoissonMixtureTV(numeric_tv=tv, bound=bound, trunc=int(trunc), max_rate=M)
-
-
-def _poisson_window(rates, trunc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, tails): r -+ (12 sqrt r + 50) clipped to [0, trunc] per rate r;
-    tails[0] is Chernoff's e^-r (e r / t)^t on P(X <= t) at t = lo - 1 (0 if
-    lo = 0), tails[1] that on P(X >= t) at t = hi + 1 (1 if hi + 1 <= r)."""
-    half = 12.0 * np.sqrt(rates) + 50.0
-    lo, hi = np.maximum(np.ceil(rates - half), 0.0), np.minimum(np.floor(rates + half), trunc)
-    t = np.stack([lo - 1.0, hi + 1.0])
-    with np.errstate(divide="ignore", invalid="ignore"):  # t log(e r / t) is 0 at t = 0
-        b = np.exp(np.where(t > 0.0, t * (1.0 + np.log(rates / t)), 0.0) - rates)
-    return lo, hi, np.stack([np.where(t[0] < 0.0, 0.0, b[0]), np.where(t[1] > rates, b[1], 1.0)])
+    trunc = math.ceil(M + 12.0 * math.sqrt(M) + 50.0)
+    return PoissonMixtureTV(numeric_tv=tv, bound=bound, trunc=trunc, max_rate=M)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.stats import binom
 
 from minifunc import estimators
 from minifunc.errors import ConfigurationError, NumericalError
@@ -769,10 +770,15 @@ class TestComposite:
         assert res.poly_interval[0] == 0.0
 
 
+def _coin_window(N):
+    # the window _CompositeRule.values sums each count N over
+    return estimators._window(N / 2.0, 12.0 * np.sqrt(N) + 20.0, N)
+
+
 def _last_exact_count():
     # the largest count whose window spans fewer than _WINDOW_POINTS points
     N = np.arange(1, 40_000)
-    lo, hi = estimators._window(N)
+    lo, hi = _coin_window(N)
     return int(N[hi - lo < estimators._WINDOW_POINTS].max())
 
 
@@ -791,7 +797,7 @@ class TestCoinAverage:
 
     @pytest.mark.parametrize("N", [1, 2, 57, 4000, _last_exact_count()])
     def test_window_weights_are_exact(self, N):
-        lo, hi = estimators._window(np.array([N]))
+        lo, hi = _coin_window(np.array([N]))
         (a,), (w,) = estimators._pmf_window(lo, hi, lambda a: (N - a) / (a + 1.0))
         assert (a[0], a[-1]) == (lo[0], hi[0]) and a.tolist() == list(range(a[0], a[-1] + 1))
         # C(N, a) in exact integers, stepped along the window
@@ -801,12 +807,20 @@ class TestCoinAverage:
             c = c * (N - x) // (x + 1)
         assert (np.abs(w - exact) <= 1e-13 * np.array(exact)).all()
 
+    def test_window_certificate(self):
+        # Hoeffding's 2 exp(-288) bounds the Binomial(N, 1/2) mass outside
+        # every window, here in log space against scipy
+        N = np.unique(np.concatenate([np.arange(0, 50), np.geomspace(50, 1e7, 200).round()]))
+        lo, hi = _coin_window(N)
+        outside = np.logaddexp(binom.logcdf(lo - 1.0, N, 0.5), binom.logsf(hi, N, 0.5))
+        assert (outside <= math.log(2.0) - 288.0).all()
+
     @pytest.mark.parametrize("phi", [SH, power_functional(0.5), power_functional(1.2)],
                              ids=["shannon", "power0.5", "power1.2"])
     def test_quadrature_agrees_with_the_window_sum(self, phi, monkeypatch):
         N = np.array([_last_exact_count() + 1])
         rule = estimators._composite_rule(phi, tuned_config(phi.alpha), 1e5)
-        lo, hi = estimators._window(N)
+        lo, hi = _coin_window(N)
         assert hi - lo >= estimators._WINDOW_POINTS
         quadrature = rule.values(N)
         monkeypatch.setattr(estimators, "_WINDOW_POINTS", 2**20)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 from scipy.stats import poisson
 
-from minifunc import estimators, lowerbounds
-from minifunc.errors import ConfigurationError, NumericalError, SupportError
+from minifunc import estimators
+from minifunc.errors import ConfigurationError, MinifuncError, NumericalError, SupportError
 from minifunc.functionals import (
     ProbabilityVector,
     additive_functional,
@@ -264,6 +264,19 @@ class TestMeasurePairType:
                 gap=0.0,
             )
 
+    @pytest.mark.parametrize("support, w0, w1, orders, error, match", [
+        ([], [], [], 1, ConfigurationError, "support is empty"),
+        ([-1.0, 1.0], [1.0, 0.0], [0.0, 1.0], 1, ConfigurationError, "support points .* got -1.0"),
+        ([math.nan, 1.0], [0.5, 0.5], [0.5, 0.5], 1, ConfigurationError, "support points .* got nan"),
+        ([math.inf, 1.0], [0.5, 0.5], [0.5, 0.5], 1, ConfigurationError, "support points .* got inf"),
+        ([0.0, 1.0], [0.5, 0.5], [0.5, 0.5], -1, ConfigurationError, "matched_orders must be >= 0"),
+        ([0.0, 1.0], [1.0, 0.0], [0.0, 1.0], 1, NumericalError, "moment constraints violated by 1"),
+    ], ids=["empty", "negative", "nan", "inf", "orders", "moments"])
+    def test_rejects_invalid_pair(self, support, w0, w1, orders, error, match):
+        with pytest.raises(MinifuncError, match=match) as info:
+            MeasurePair(support=support, w0=w0, w1=w1, matched_orders=orders, gap=0.0)
+        assert type(info.value) is error
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             MeasurePair(
@@ -408,11 +421,6 @@ class TestPoissonMixtureTV:
         res = poisson_mixture_tv(pair, 1, 1)
         assert res.trunc == 63
 
-    def test_truncation_too_small(self):
-        pair = moment_matched_pair(SH, 8, (0.0, 1.0))
-        with pytest.raises(NumericalError, match="tail"):
-            poisson_mixture_tv(pair, 100, 1, trunc=60)
-
     @pytest.mark.parametrize("s, L", [(1.0, 6), (1.0, 8), (1.0, 10), (0.5, 4)])
     def test_matches_scipy_pmf_on_gate_pairs(self, s, L):
         pair = moment_matched_pair(SH.eval, L, (0.0, s))
@@ -452,7 +460,7 @@ class TestPoissonMixtureTV:
     @pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(7), Fraction(250)])
     def test_window_weights_are_exact(self, rate):
         rates = np.array([float(rate)])
-        lo, hi, _ = lowerbounds._poisson_window(rates, 10**6)
+        lo, hi = estimators._window(rates, 12.0 * np.sqrt(rates) + 50.0)
         (a,), (w,) = estimators._pmf_window(lo, hi, lambda a: rates[:, None] / (a + 1.0))
         assert (a[0], a[-1]) == (lo[0], hi[0]) and a.tolist() == list(range(a[0], a[-1] + 1))
         # rate^a / a! in exact rationals; e^-rate cancels in the normalisation
@@ -461,19 +469,15 @@ class TestPoissonMixtureTV:
         exact = np.array([float(t / total) for t in terms])
         assert (np.abs(w - exact) <= 1e-13 * exact).all()
 
-    @pytest.mark.parametrize("rate, trunc", [
-        (0.0, None), (1.0, None), (233.3, None), (1e3, None), (1e6, None), (100.0, 120), (100.0, 90),
-    ])
-    def test_tail_bound_covers_both_edges(self, rate, trunc):
-        # at 233.3 the window first starts at 1, where the left edge's
-        # bound is e^-rate at t = 0 and must not read 0 log(1/0) as NaN
-        rates = np.array([rate])
-        lo, hi, ((below,), (above,)) = lowerbounds._poisson_window(rates, 10**7 if trunc is None else trunc)
-        if rate == 233.3:
-            assert lo[0] == 1.0 and below == pytest.approx(math.exp(-rate), rel=1e-12)
-        assert below >= poisson.cdf(lo[0] - 1.0, rate)
-        assert above >= poisson.sf(hi[0], rate)
-        assert below + above < 1e-12 if trunc is None else above <= 1.0
+    @pytest.mark.parametrize("rates", [
+        np.array([0.0, 1.0, 233.3, 1e3, 1e6]), np.concatenate([[0.0], np.geomspace(1e-3, 1e8, 300)]),
+    ], ids=["named", "sweep"])
+    def test_window_certificate(self, rates):
+        # Bernstein's 2 exp(-72) bounds the Poisson(r) mass outside every
+        # window, here in log space against scipy
+        lo, hi = estimators._window(rates, 12.0 * np.sqrt(rates) + 50.0)
+        outside = np.logaddexp(poisson.logcdf(lo - 1.0, rates), poisson.logsf(hi, rates))
+        assert (outside <= math.log(2.0) - 72.0).all()
 
 
 def _scipy_mixture_tv(pair, n, k, trunc):

@@ -297,8 +297,10 @@ class TestMonteCarloRisk:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         spec = DistributionSpec("zipf", 20)
-        serial = monte_carlo_risk(spec, SH, "composite", 200, reps=100, jobs=1)
-        fallback = monte_carlo_risk(spec, SH, "composite", 200, reps=100, jobs=4)
+        # two blocks, so the pool is not capped at one worker before the
+        # start methods are asked for
+        serial = monte_carlo_risk(spec, SH, "composite", 200, reps=200, jobs=1)
+        fallback = monte_carlo_risk(spec, SH, "composite", 200, reps=200, jobs=4)
         assert fake.methods == []
         assert np.array_equal(serial.estimates, fallback.estimates)
         assert serial.mse == fallback.mse
